@@ -4,12 +4,10 @@
 //   serial            : one-thread scan (reference)
 //   pool-reduce       : ThreadPool sub-races + tree combine
 //   pool-race         : ThreadPool atomic CRCW-style race
-//   omp-reduce        : OpenMP critical-combine kernel
-//   omp-race          : OpenMP atomic race kernel
 //   deterministic     : counter-based (thread-count invariant), pool
 //
-// All six produce the exact roulette distribution; this bench isolates the
-// runtime overheads (pool wakeup, OMP region entry, Philox evaluation).
+// All four produce the exact roulette distribution; this bench isolates the
+// runtime overheads (pool wakeup, the shared race cell, Philox evaluation).
 //
 // Usage: bench_parallel_runtimes [--n=262144] [--reps=20] [--csv]
 #include <iostream>
@@ -20,7 +18,6 @@
 #include "common/timer.hpp"
 #include "core/deterministic.hpp"
 #include "core/logarithmic_bidding.hpp"
-#include "core/openmp.hpp"
 #include "rng/seed.hpp"
 #include "stats/online.hpp"
 
@@ -33,10 +30,8 @@ int main(int argc, char** argv) {
   const bool csv = args.get_bool("csv", false);
 
   lrb::bench::banner("A8", "execution runtimes for one bidding selection", reps);
-  std::printf("n = %zu dense items; OpenMP %savailable (%zu threads); "
-              "hardware lanes: %zu\n\n",
-              n, lrb::core::openmp_available() ? "" : "NOT ",
-              lrb::core::openmp_threads(), lrb::parallel::hardware_lanes());
+  std::printf("n = %zu dense items; hardware lanes: %zu\n\n", n,
+              lrb::parallel::hardware_lanes());
 
   std::vector<double> fitness(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -45,7 +40,7 @@ int main(int argc, char** argv) {
   lrb::rng::SeedSequence seeds(99);
 
   lrb::Table table({"lanes", "serial us", "pool-reduce us", "pool-race us",
-                    "omp-reduce us", "omp-race us", "deterministic us"});
+                    "deterministic us"});
   for (std::size_t lanes : {1u, 2u, 4u}) {
     lrb::parallel::ThreadPool pool(lanes);
     lrb::core::DeterministicBidder bidder(4242);
@@ -62,26 +57,17 @@ int main(int argc, char** argv) {
       return lrb::core::select_bidding_race(pool, fitness,
                                             seeds.subsequence(rep));
     });
-    const double t_omp = mean_us(reps, [&](std::uint64_t rep) {
-      return lrb::core::select_bidding_omp(fitness, seeds.child(rep));
-    });
-    const double t_omp_race = mean_us(reps, [&](std::uint64_t rep) {
-      return lrb::core::select_bidding_race_omp(fitness, seeds.child(rep));
-    });
     const double t_det = mean_us(reps, [&](std::uint64_t) {
       return bidder.select(pool, fitness);
     });
 
     table.add_row({std::to_string(lanes), lrb::format_fixed(t_serial, 1),
                    lrb::format_fixed(t_reduce, 1), lrb::format_fixed(t_race, 1),
-                   lrb::format_fixed(t_omp, 1), lrb::format_fixed(t_omp_race, 1),
                    lrb::format_fixed(t_det, 1)});
   }
   csv ? table.print_csv(std::cout) : table.print(std::cout);
 
-  std::printf("\nnote: OMP rows use OMP's own thread count (set "
-              "OMP_NUM_THREADS), independent of the lanes column.  The "
-              "deterministic row pays ~2x for counter-based Philox bids in "
-              "exchange for thread-count-invariant replay.\n");
+  std::printf("\nnote: the deterministic row pays ~2x for counter-based "
+              "Philox bids in exchange for thread-count-invariant replay.\n");
   return 0;
 }

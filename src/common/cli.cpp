@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 
@@ -55,27 +56,33 @@ std::string CliArgs::get_string(const std::string& name, const std::string& def,
 
 std::uint64_t CliArgs::parse_u64(const std::string& text) {
   LRB_REQUIRE(!text.empty(), InvalidArgumentError, "empty integer option");
+  const std::string error =
+      "cannot parse '" + text + "' as a non-negative integer";
   std::string clean;
   clean.reserve(text.size());
   for (char c : text) {
     if (c != '_' && c != ',') clean += c;
   }
+  // Decimal digits, '.' and an exponent only: strtoull/strtod would also
+  // skip leading blanks, read hex, or take a leading sign ("-1" wraps to
+  // 2^64 - 1).  A sign may only follow the exponent marker ("1e+9").
+  LRB_REQUIRE(!clean.empty() && clean.front() != '+' && clean.front() != '-' &&
+                  clean.find_first_not_of("0123456789.eE+-") ==
+                      std::string::npos,
+              InvalidArgumentError, error);
+  char* end = nullptr;
+  errno = 0;
   // Scientific shorthand: "1e9", "2.5e6".
-  if (clean.find('e') != std::string::npos ||
-      clean.find('E') != std::string::npos ||
-      clean.find('.') != std::string::npos) {
-    char* end = nullptr;
+  if (clean.find_first_of("eE.") != std::string::npos) {
     const double v = std::strtod(clean.c_str(), &end);
-    LRB_REQUIRE(end != nullptr && *end == '\0' && v >= 0 &&
-                    v <= 1.8446744073709552e19 && std::floor(v) == v,
-                InvalidArgumentError,
-                "cannot parse '" + text + "' as a non-negative integer");
+    // 0x1p64 is 2^64 exactly, the first double a uint64_t cannot hold.
+    LRB_REQUIRE(*end == '\0' && errno != ERANGE && v < 0x1p64 &&
+                    std::floor(v) == v,
+                InvalidArgumentError, error);
     return static_cast<std::uint64_t>(v);
   }
-  char* end = nullptr;
   const unsigned long long v = std::strtoull(clean.c_str(), &end, 10);
-  LRB_REQUIRE(end != nullptr && *end == '\0', InvalidArgumentError,
-              "cannot parse '" + text + "' as a non-negative integer");
+  LRB_REQUIRE(*end == '\0' && errno != ERANGE, InvalidArgumentError, error);
   return v;
 }
 

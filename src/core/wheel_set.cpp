@@ -1,9 +1,19 @@
-// WheelSet out-of-line parts: admission, point updates, the deterministic
-// batch entry, and the occupancy gauge bookkeeping (see wheel_set.hpp).
+// WheelSet out-of-line parts: admission, point updates, the batched draw
+// engine, and the occupancy gauge bookkeeping (see wheel_set.hpp).
 #include "core/wheel_set.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
+
+#include "common/error.hpp"
+#include "core/bid_filter.hpp"
+#include "obs/obs.hpp"
+#include "rng/wheel_keys.hpp"
+#include "simd/dispatch.hpp"
 
 namespace lrb::core {
 
@@ -202,14 +212,114 @@ std::size_t WheelSet::prepare_batch(std::span<const DrawRequest> requests) {
   return total_draws;
 }
 
+void WheelSet::run_batch(std::span<const DrawRequest> requests,
+                         std::size_t total_draws,
+                         std::vector<std::size_t>& out) {
+  LRB_TRACE_SPAN_ARG("wheelset_draw_batch", total_draws);
+  LRB_OBS_SCOPED_NS("lrb_wheelset_batch_ns");
+  out.reserve(out.size() + total_draws);
+  const simd::Ops& ops = simd::ops();
+  if (bits_.size() != kTile) {
+    bits_.resize(kTile);
+    u_.resize(kTile);
+    ub_.resize(kTile);
+    inv_tile_.resize(kTile);
+    seed_tile_.resize(kTile);
+    ctr_tile_.resize(kTile);
+    stream_tile_.resize(kTile);
+  }
+  segs_.clear();
+  chunks_.clear();
+  std::size_t pos = 0;          // tile fill level
+  std::size_t work_items = 0;   // sum of k over all draws (obs partition)
+  std::size_t log_evals = 0;
+  bid_filter::RecordScan race;  // carried across tiles for an open draw
+
+  const auto flush = [&]() {
+    if (pos == 0) return;
+    ops.philox_bits_keyed(seed_tile_.data(), ctr_tile_.data(),
+                          stream_tile_.data(), bits_.data(), pos);
+    // No per-segment maxima: the RecordScan gates every element on its
+    // bound anyway, so chunk-level skips would buy nothing on the fresh
+    // single-chunk races that dominate here (see segmented.hpp).
+    simd::segmented_bound_pass(ops, bits_.data(), inv_tile_.data(), u_.data(),
+                               ub_.data(), pos, segs_.data(), segs_.size(),
+                               /*seg_max=*/nullptr);
+    for (std::size_t c = 0; c < chunks_.size(); ++c) {
+      const Chunk& ch = chunks_[c];
+      const simd::Segment sg = segs_[c];
+      if (!race.found) {
+        // Fresh race: probe the strongest-bound element first — it is
+        // usually the winner, so the gate starts tight and the scan skips
+        // almost every other log.  Mask its bound so the scan does not pay
+        // its log twice (it is already installed; the winner cannot change
+        // — see RecordScan::probe).
+        const double* ubs = ub_.data() + sg.begin;
+        std::size_t pm = 0;
+        for (std::size_t j = 1; j < sg.len; ++j) {
+          if (ubs[j] > ubs[pm]) pm = j;
+        }
+        race.probe(u_[sg.begin + pm], active_f_[ch.active_abs + pm],
+                   ch.pos0 + pm);
+        ub_[sg.begin + pm] = -std::numeric_limits<double>::infinity();
+      }
+      race.scan(u_.data() + sg.begin, ub_.data() + sg.begin,
+                active_f_.data() + ch.active_abs, ch.pos0, sg.len);
+      if (ch.closes) {
+        LRB_ASSERT(race.found,
+                   "positive active count implies at least one bid");
+        out.push_back(static_cast<std::size_t>(
+            active_streams_[offsets_[ch.wheel] + race.best_pos]));
+        log_evals += race.log_evals;
+        race = bid_filter::RecordScan{};
+      }
+    }
+    segs_.clear();
+    chunks_.clear();
+    pos = 0;
+  };
+
+  for (const DrawRequest& r : requests) {
+    if (r.draws == 0) continue;
+    const std::size_t w = r.wheel;
+    const std::size_t abase = offsets_[w];
+    const std::size_t k = positive_count_[w];
+    for (std::size_t d = 0; d < r.draws; ++d) {
+      const std::uint64_t t = cursors_[w]++;
+      std::size_t done = 0;
+      while (done < k) {
+        if (pos == kTile) flush();
+        const std::size_t take = std::min(k - done, kTile - pos);
+        std::fill_n(seed_tile_.data() + pos, take, seeds_[w]);
+        std::fill_n(ctr_tile_.data() + pos, take, t);
+        std::memcpy(stream_tile_.data() + pos,
+                    active_streams_.data() + abase + done,
+                    take * sizeof(std::uint64_t));
+        std::memcpy(inv_tile_.data() + pos, active_inv_f_.data() + abase + done,
+                    take * sizeof(double));
+        segs_.push_back({pos, take});
+        chunks_.push_back({w, abase + done, done, done + take == k});
+        pos += take;
+        done += take;
+      }
+      work_items += k;
+    }
+  }
+  flush();
+  LRB_OBS_COUNTER_ADD("lrb_wheelset_batches_total", 1);
+  LRB_OBS_COUNTER_ADD("lrb_wheelset_draws_total", total_draws);
+  LRB_OBS_COUNTER_ADD("lrb_wheelset_log_evals_total", log_evals);
+  LRB_OBS_COUNTER_ADD("lrb_wheelset_filter_skips_total",
+                      work_items - log_evals);
+  LRB_OBS_HISTOGRAM_RECORD("lrb_wheelset_batch_draws", total_draws);
+}
+
 void WheelSet::draw_batch_into(std::span<const DrawRequest> requests,
                                std::vector<std::size_t>& out) {
-  const std::size_t total_draws = prepare_batch(requests);
-  // Keyed mode: chunks enqueue (seed_w, t, local item) key triples and each
-  // tile derives its bits in ONE philox_bits_keyed sweep — identical bits
-  // to a standalone DeterministicDrawKernel over every wheel.
-  run_batch<true>(requests, total_draws, out,
-                  [](std::uint64_t*, std::size_t) {});
+  // Chunks enqueue (seed_w, t, local item) key triples and each tile
+  // derives its bits in ONE philox_bits_keyed sweep — identical bits to a
+  // standalone DeterministicDrawKernel over every wheel.
+  run_batch(requests, prepare_batch(requests), out);
 }
 
 std::vector<std::size_t> WheelSet::draw_batch(

@@ -29,28 +29,17 @@
 // the arena seed via rng::wheel_seed, and every SIMD stage is elementwise,
 // so neither the batching, the tile boundaries, nor neighboring tenants'
 // traffic can change a single winner (tests/core/wheel_set_test.cpp,
-// tests/core/wheel_set_isolation_test.cpp).  The stream-engine variant
-// likewise matches a per-wheel core::draw_many loop sharing the same
-// engine: bits are consumed in request order, exactly k words per draw.
+// tests/core/wheel_set_isolation_test.cpp).
 //
 // Draws advance per-wheel cursors and share tile scratch: external
 // synchronization is required, one arena per service shard.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <limits>
 #include <span>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/math.hpp"
-#include "core/bid_filter.hpp"
-#include "obs/obs.hpp"
-#include "rng/uniform.hpp"
-#include "rng/wheel_keys.hpp"
-#include "simd/dispatch.hpp"
 #include "simd/segmented.hpp"
 
 namespace lrb::persist {
@@ -163,28 +152,6 @@ class WheelSet {
   /// One deterministic draw from one wheel (request-queue convenience).
   [[nodiscard]] std::size_t draw_one(std::size_t wheel);
 
-  /// Batched stream-engine draws: same single-sweep engine, uniforms from
-  /// `gen` in request order (exactly active_count(w) words per draw) — the
-  /// winners and the engine state afterwards match a per-wheel
-  /// core::draw_many loop sharing the same engine.  Does not touch the
-  /// deterministic cursors.
-  template <rng::Engine64 G>
-  void draw_batch_into(std::span<const DrawRequest> requests, G&& gen,
-                       std::vector<std::size_t>& out) {
-    const std::size_t total_draws = prepare_batch(requests);
-    run_batch<false>(requests, total_draws, out,
-                     [&](std::uint64_t* dst, std::size_t len) {
-                       rng::fill_bits(gen, std::span<std::uint64_t>(dst, len));
-                     });
-  }
-  template <rng::Engine64 G>
-  [[nodiscard]] std::vector<std::size_t> draw_batch(
-      std::span<const DrawRequest> requests, G&& gen) {
-    std::vector<std::size_t> out;
-    draw_batch_into(requests, gen, out);
-    return out;
-  }
-
  private:
   // The checkpoint layer (persist/snapshot.cpp) reads every field verbatim
   // and reconstructs arenas field by field — Kahan carries and deferred
@@ -215,136 +182,17 @@ class WheelSet {
   std::size_t prepare_batch(std::span<const DrawRequest> requests);
   void release_gauges() noexcept;
 
-  /// The batched draw engine, shared by the deterministic and stream paths.
-  /// Chunks are packed into dense tiles; each full tile runs ONE
-  /// bits-producing step and ONE segmented bits -> (0,1] + bound sweep
-  /// (simd/segmented.hpp), then the shared filtered argmax
-  /// (bid_filter::RecordScan) resolves each chunk, carrying the race of a
-  /// draw that straddles a tile boundary.
-  ///
-  /// Keyed == true is the deterministic path: chunks enqueue per-element
-  /// Philox keys (seed_w broadcast, the draw's cursor t broadcast, LOCAL
-  /// item streams) and the flush derives the whole tile's bits in ONE
+  /// The batched draw engine.  Chunks are packed into dense tiles: each
+  /// chunk enqueues per-element Philox keys (seed_w broadcast, the draw's
+  /// cursor t broadcast, LOCAL item streams), and each full tile runs ONE
   /// philox_bits_keyed call — full vector lanes even when every wheel is 8
-  /// items wide — and each draw consumes one cursor tick of its wheel.
-  /// Keyed == false is the stream path: `fill(dst, len)` pulls raw bid bits
-  /// from the caller's engine in request order and cursors stay untouched.
-  template <bool Keyed, class Filler>
+  /// items wide — then ONE segmented bits -> (0,1] + bound sweep
+  /// (simd/segmented.hpp).  The shared filtered argmax
+  /// (bid_filter::RecordScan) resolves each chunk, carrying the race of a
+  /// draw that straddles a tile boundary.  Each draw consumes one cursor
+  /// tick of its wheel.
   void run_batch(std::span<const DrawRequest> requests,
-                 std::size_t total_draws, std::vector<std::size_t>& out,
-                 Filler&& fill) {
-    LRB_TRACE_SPAN_ARG("wheelset_draw_batch", total_draws);
-    LRB_OBS_SCOPED_NS("lrb_wheelset_batch_ns");
-    out.reserve(out.size() + total_draws);
-    const simd::Ops& ops = simd::ops();
-    if (bits_.size() != kTile) {
-      bits_.resize(kTile);
-      u_.resize(kTile);
-      ub_.resize(kTile);
-      inv_tile_.resize(kTile);
-    }
-    if constexpr (Keyed) {
-      if (seed_tile_.size() != kTile) {
-        seed_tile_.resize(kTile);
-        ctr_tile_.resize(kTile);
-        stream_tile_.resize(kTile);
-      }
-    }
-    segs_.clear();
-    chunks_.clear();
-    std::size_t pos = 0;          // tile fill level
-    std::size_t work_items = 0;   // sum of k over all draws (obs partition)
-    std::size_t log_evals = 0;
-    bid_filter::RecordScan race;  // carried across tiles for an open draw
-
-    const auto flush = [&]() {
-      if (pos == 0) return;
-      if constexpr (Keyed) {
-        ops.philox_bits_keyed(seed_tile_.data(), ctr_tile_.data(),
-                              stream_tile_.data(), bits_.data(), pos);
-      }
-      // No per-segment maxima: the RecordScan gates every element on its
-      // bound anyway, so chunk-level skips would buy nothing on the fresh
-      // single-chunk races that dominate here (see segmented.hpp).
-      simd::segmented_bound_pass(ops, bits_.data(), inv_tile_.data(),
-                                 u_.data(), ub_.data(), pos, segs_.data(),
-                                 segs_.size(), /*seg_max=*/nullptr);
-      for (std::size_t c = 0; c < chunks_.size(); ++c) {
-        const Chunk& ch = chunks_[c];
-        const simd::Segment sg = segs_[c];
-        if (!race.found) {
-          // Fresh race: probe the strongest-bound element first — it is
-          // usually the winner, so the gate starts tight and the scan skips
-          // almost every other log.  Mask its bound so the scan does not
-          // pay its log twice (it is already installed; the winner cannot
-          // change — see RecordScan::probe).
-          const double* ubs = ub_.data() + sg.begin;
-          std::size_t pm = 0;
-          for (std::size_t j = 1; j < sg.len; ++j) {
-            if (ubs[j] > ubs[pm]) pm = j;
-          }
-          race.probe(u_[sg.begin + pm], active_f_[ch.active_abs + pm],
-                     ch.pos0 + pm);
-          ub_[sg.begin + pm] = -std::numeric_limits<double>::infinity();
-        }
-        race.scan(u_.data() + sg.begin, ub_.data() + sg.begin,
-                  active_f_.data() + ch.active_abs, ch.pos0, sg.len);
-        if (ch.closes) {
-          LRB_ASSERT(race.found,
-                     "positive active count implies at least one bid");
-          out.push_back(static_cast<std::size_t>(
-              active_streams_[offsets_[ch.wheel] + race.best_pos]));
-          log_evals += race.log_evals;
-          race = bid_filter::RecordScan{};
-        }
-      }
-      segs_.clear();
-      chunks_.clear();
-      pos = 0;
-    };
-
-    for (const DrawRequest& r : requests) {
-      if (r.draws == 0) continue;
-      const std::size_t w = r.wheel;
-      const std::size_t abase = offsets_[w];
-      const std::size_t k = positive_count_[w];
-      for (std::size_t d = 0; d < r.draws; ++d) {
-        // Stream-engine draws take their entropy from the engine, not the
-        // counter stream: the deterministic cursors stay untouched.
-        [[maybe_unused]] std::uint64_t t = 0;
-        if constexpr (Keyed) t = cursors_[w]++;
-        std::size_t done = 0;
-        while (done < k) {
-          if (pos == kTile) flush();
-          const std::size_t take = std::min(k - done, kTile - pos);
-          if constexpr (Keyed) {
-            std::fill_n(seed_tile_.data() + pos, take, seeds_[w]);
-            std::fill_n(ctr_tile_.data() + pos, take, t);
-            std::memcpy(stream_tile_.data() + pos,
-                        active_streams_.data() + abase + done,
-                        take * sizeof(std::uint64_t));
-          } else {
-            fill(bits_.data() + pos, take);
-          }
-          std::memcpy(inv_tile_.data() + pos,
-                      active_inv_f_.data() + abase + done,
-                      take * sizeof(double));
-          segs_.push_back({pos, take});
-          chunks_.push_back({w, abase + done, done, done + take == k});
-          pos += take;
-          done += take;
-        }
-        work_items += k;
-      }
-    }
-    flush();
-    LRB_OBS_COUNTER_ADD("lrb_wheelset_batches_total", 1);
-    LRB_OBS_COUNTER_ADD("lrb_wheelset_draws_total", total_draws);
-    LRB_OBS_COUNTER_ADD("lrb_wheelset_log_evals_total", log_evals);
-    LRB_OBS_COUNTER_ADD("lrb_wheelset_filter_skips_total",
-                        work_items - log_evals);
-    LRB_OBS_HISTOGRAM_RECORD("lrb_wheelset_batch_draws", total_draws);
-  }
+                 std::size_t total_draws, std::vector<std::size_t>& out);
 
   std::uint64_t set_seed_ = 0;
   std::vector<std::size_t> offsets_;  // K+1 item offsets into the arena
@@ -365,8 +213,8 @@ class WheelSet {
   std::size_t total_active_ = 0;
 
   // Batch scratch (reused across batches; sized on first draw).  The three
-  // key tiles mirror bits_ element for element on the deterministic path:
-  // one philox_bits_keyed call per tile turns them into bid bits.
+  // key tiles mirror bits_ element for element: one philox_bits_keyed call
+  // per tile turns them into bid bits.
   std::vector<std::uint64_t> seed_tile_;
   std::vector<std::uint64_t> ctr_tile_;
   std::vector<std::uint64_t> stream_tile_;

@@ -35,7 +35,6 @@
 #include "core/fenwick_selector.hpp"
 #include "core/fitness.hpp"
 #include "core/logarithmic_bidding.hpp"
-#include "core/openmp.hpp"
 #include "core/selector_registry.hpp"
 #include "core/streaming.hpp"
 #include "core/wheel_set.hpp"

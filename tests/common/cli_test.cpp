@@ -79,6 +79,22 @@ TEST(CliArgs, ParseU64RejectsGarbage) {
   EXPECT_THROW(CliArgs::parse_u64(""), InvalidArgumentError);
   EXPECT_THROW(CliArgs::parse_u64("1.5"), InvalidArgumentError);  // not integral
   EXPECT_THROW(CliArgs::parse_u64("12x"), InvalidArgumentError);
+  // Signs, blanks, hex, overflow and 2^64 itself are rejected, never
+  // wrapped or cast.
+  for (const char* bad : {"-1", "+5", "99999999999999999999",
+                          "18446744073709551616", "1.8446744073709552e19",
+                          " 5", "0x1.8p3"}) {
+    try {
+      (void)CliArgs::parse_u64(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << "error must name the text: " << e.what();
+    }
+  }
+  EXPECT_EQ(CliArgs::parse_u64("18446744073709551615"),
+            std::uint64_t{18446744073709551615u});
+  EXPECT_EQ(CliArgs::parse_u64("1e+3"), 1000u);
 }
 
 TEST(CliArgs, GetDoubleParses) {

@@ -23,13 +23,20 @@ struct PropertyCase {
   NamedFitness fitness;
 };
 
-std::string case_name(const ::testing::TestParamInfo<PropertyCase>& info) {
-  std::string name = std::string(to_string(info.param.kind)) + "_" +
-                     info.param.fitness.name;
+// gtest case names may hold only letters, digits and underscores.
+std::string identifier(std::string name) {
   for (char& c : name) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
   return name;
+}
+
+std::string case_label(const PropertyCase& pc) {
+  return identifier(std::string(to_string(pc.kind)) + "_" + pc.fitness.name);
+}
+
+void PrintTo(const PropertyCase& pc, std::ostream* os) {
+  *os << case_label(pc);
 }
 
 std::vector<PropertyCase> make_cases() {
@@ -63,8 +70,11 @@ TEST_P(ExactSelectorProperty, MatchesRouletteAndSkipsZeros) {
   lrb::testing::expect_matches_roulette(hist, fitness);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllExactSelectors, ExactSelectorProperty,
-                         ::testing::ValuesIn(make_cases()), case_name);
+INSTANTIATE_TEST_SUITE_P(
+    AllExactSelectors, ExactSelectorProperty, ::testing::ValuesIn(make_cases()),
+    [](const ::testing::TestParamInfo<PropertyCase>& info) {
+      return case_label(info.param);
+    });
 
 // ---------------------------------------------------------------------------
 // Structural invariants of the bidding rule itself.
@@ -129,17 +139,11 @@ TEST_P(BiddingEngine, Table1ShapeMatches) {
   lrb::testing::expect_matches_roulette(hist, fitness);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllEngines, BiddingEngine,
-                         ::testing::ValuesIn(rng::all_engine_kinds()),
-                         [](const ::testing::TestParamInfo<rng::EngineKind>& info) {
-                           std::string name(rng::to_string(info.param));
-                           for (char& c : name) {
-                             if (!std::isalnum(static_cast<unsigned char>(c))) {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllEngines, BiddingEngine, ::testing::ValuesIn(rng::all_engine_kinds()),
+    [](const ::testing::TestParamInfo<rng::EngineKind>& info) {
+      return identifier(std::string(rng::to_string(info.param)));
+    });
 
 }  // namespace
 }  // namespace lrb::core

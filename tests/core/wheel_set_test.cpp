@@ -6,9 +6,7 @@
 
 #include "../testing.hpp"
 #include "core/batch.hpp"
-#include "core/draw_many.hpp"
 #include "rng/wheel_keys.hpp"
-#include "rng/xoshiro256.hpp"
 #include "simd/simd_testing.hpp"
 
 namespace lrb::core {
@@ -132,30 +130,6 @@ TEST(WheelSet, CursorContinuationAndInterleavedRequests) {
   // seek() replays a wheel's stream from any draw id.
   three.seek(0, 2);
   EXPECT_EQ(three.draw_one(0), w0[2]);
-}
-
-// The stream-engine variant consumes exactly k words per draw in request
-// order: winners AND the engine state afterwards match a per-wheel
-// draw_many loop sharing one engine.
-TEST(WheelSet, StreamBatchMatchesDrawManyLoop) {
-  const auto wheels = make_wheels(13, 7);
-  std::vector<WheelSet::DrawRequest> requests;
-  for (std::size_t w = 0; w < wheels.size(); ++w) requests.push_back({w, 4});
-
-  rng::Xoshiro256StarStar ref_gen(2024);
-  std::vector<std::size_t> expected;
-  for (std::size_t w = 0; w < wheels.size(); ++w) {
-    const auto part = draw_many(wheels[w], 4, ref_gen);
-    expected.insert(expected.end(), part.begin(), part.end());
-  }
-
-  WheelSet set = build_arena(wheels);
-  rng::Xoshiro256StarStar gen(2024);
-  const auto got = set.draw_batch(requests, gen);
-  ASSERT_EQ(got, expected);
-  EXPECT_EQ(gen, ref_gen) << "engine state must match the serial loop";
-  // Stream draws must not advance the deterministic cursors.
-  for (std::size_t w = 0; w < wheels.size(); ++w) EXPECT_EQ(set.cursor(w), 0u);
 }
 
 TEST(WheelSet, UpdatesKeepSumsAndDrawsConsistent) {

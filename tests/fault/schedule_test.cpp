@@ -192,7 +192,8 @@ TEST(FaultSchedule, RandomIsSurvivableUnderTheDefaultRetryBudget) {
 
 TEST(FaultSchedule, RandomNeverKillsTheOnlyRank) {
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
-    for (const FaultEvent& event : FaultSchedule::random(seed, 1, 50).events()) {
+    const FaultSchedule schedule = FaultSchedule::random(seed, 1, 50);
+    for (const FaultEvent& event : schedule.events()) {
       EXPECT_NE(event.kind, FaultKind::kKillRank) << "seed " << seed;
     }
   }

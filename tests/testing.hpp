@@ -54,6 +54,11 @@ struct NamedFitness {
   std::vector<double> fitness;
 };
 
+/// gtest prints a parameter by its case name, not its raw bytes.
+inline void PrintTo(const NamedFitness& nf, std::ostream* os) {
+  *os << nf.name;
+}
+
 inline std::vector<NamedFitness> canonical_fitness_cases() {
   return {
       {"paper_table1", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
