@@ -86,6 +86,19 @@ std::uint64_t CliArgs::parse_u64(const std::string& text) {
   return v;
 }
 
+double CliArgs::parse_double(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  // strtod flags ERANGE on every underflow, including the subnormals it
+  // returns exactly; only an underflow all the way to 0 loses the value.
+  LRB_REQUIRE(end != text.c_str() && *end == '\0' && std::isfinite(v) &&
+                  !(errno == ERANGE && v == 0.0),
+              InvalidArgumentError,
+              "cannot parse '" + text + "' as a finite number");
+  return v;
+}
+
 std::uint64_t CliArgs::get_u64(const std::string& name, std::uint64_t def,
                                const std::string& env) const {
   const auto v = lookup(name, env);

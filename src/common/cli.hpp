@@ -53,6 +53,12 @@ class CliArgs {
   /// on garbage.  Exposed for tests.
   static std::uint64_t parse_u64(const std::string& text);
 
+  /// Parses the whole of `text` as a finite double ("2.5", "1e-310" — a
+  /// subnormal is a value, not an error).  Throws InvalidArgumentError,
+  /// quoting the text, on trailing garbage, NaN, infinity, overflow, and a
+  /// nonzero literal that underflows to 0.
+  static double parse_double(const std::string& text);
+
  private:
   [[nodiscard]] std::optional<std::string> lookup(const std::string& name,
                                                   const std::string& env) const;

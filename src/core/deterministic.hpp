@@ -126,6 +126,13 @@ class DeterministicBidder {
 /// deterministic partition-invariant — the bid of global item i is the same
 /// no matter which rank owns it.  draw_scored() is const and allocation-free,
 /// so one kernel serves any number of threads.
+///
+/// A kernel is built per call (core/batch.cpp) or kept: dist::ShardedFitness
+/// owns one per shard and patches it through set() on every point update, so
+/// a batch of deterministic draws reads a pack that is already there instead
+/// of re-packing the shard.  set() keeps the active set in ascending index
+/// order — the scan order, and with it the first-maximum tie rule and every
+/// winner, is exactly what a fresh build over the patched block would have.
 class DeterministicDrawKernel {
  public:
   /// Winner of one draw with its actual bid — what a distributed rank ships
@@ -135,29 +142,64 @@ class DeterministicDrawKernel {
     std::uint64_t index = 0;  ///< global index (index_base + block position)
   };
 
+  /// Tag for the build that skips validation (see the constructor below).
+  struct Prevalidated {};
+
   /// Validates once (finite, non-negative, positive total — the uniform
   /// selector error surface) and packs the active set.  O(n) build; every
   /// draw is O(k) with k = active_count().
   explicit DeterministicDrawKernel(std::span<const double> fitness,
-                                   std::uint64_t index_base = 0) {
+                                   std::uint64_t index_base = 0)
+      : index_base_(index_base), size_(fitness.size()) {
     (void)checked_fitness_total(fitness);
-    active_.reserve(fitness.size());
-    for (std::size_t i = 0; i < fitness.size(); ++i) {
-      if (!(fitness[i] > 0.0)) continue;
-      active_.push_back(index_base + i);
-      f_.push_back(fitness[i]);
-      inv_f_.push_back(bid_filter::bound_reciprocal(fitness[i]));
-    }
-    size_ = fitness.size();
-    LRB_OBS_COUNTER_ADD("lrb_core_det_kernel_builds_total", 1);
-    LRB_OBS_COUNTER_ADD("lrb_core_det_kernel_items_total", size_);
-    LRB_OBS_COUNTER_ADD("lrb_core_det_kernel_active_items_total",
-                        active_.size());
+    pack(fitness, count_nonzero(fitness));
+  }
+
+  /// The same pack for an owner that already validated `fitness` and counted
+  /// its `positive_count` positive entries (dist::ShardedFitness keeps both
+  /// per shard).  The block may hold no positive entry: such a kernel cannot
+  /// draw until set() gives it one.
+  DeterministicDrawKernel(Prevalidated, std::span<const double> fitness,
+                          std::uint64_t index_base, std::size_t positive_count)
+      : index_base_(index_base), size_(fitness.size()) {
+    pack(fitness, positive_count);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   /// Number of positive-fitness items ("k" in the paper's Theorem 1).
   [[nodiscard]] std::size_t active_count() const noexcept { return active_.size(); }
+
+  /// Point update: item `global_index` (in [index_base, index_base + size))
+  /// now has fitness `f` (finite, >= 0).  The slot is found by binary search
+  /// over the sorted active set.  A re-weight rewrites f and 1/f in place,
+  /// O(log k); a zero <-> positive flip inserts or erases the slot in index
+  /// order, an O(k) move.  Either way the kernel equals a fresh build over
+  /// the updated block.  Driving every item to zero is legal; draws then
+  /// need a positive item first.
+  void set(std::uint64_t global_index, double f) {
+    LRB_REQUIRE(global_index >= index_base_ &&
+                    global_index - index_base_ < size_,
+                InvalidArgumentError,
+                "DeterministicDrawKernel::set: index outside the block");
+    LRB_REQUIRE(std::isfinite(f) && f >= 0.0, InvalidFitnessError,
+                "DeterministicDrawKernel::set: fitness must be finite and "
+                "non-negative (value " + detail::fitness_value_str(f) + ")");
+    const auto it = std::lower_bound(active_.begin(), active_.end(), global_index);
+    const auto pos = it - active_.begin();
+    const bool present = it != active_.end() && *it == global_index;
+    if (present && f > 0.0) {
+      f_[pos] = f;
+      inv_f_[pos] = bid_filter::bound_reciprocal(f);
+    } else if (present) {
+      active_.erase(it);
+      f_.erase(f_.begin() + pos);
+      inv_f_.erase(inv_f_.begin() + pos);
+    } else if (f > 0.0) {
+      active_.insert(it, global_index);
+      f_.insert(f_.begin() + pos, f);
+      inv_f_.insert(inv_f_.begin() + pos, bid_filter::bound_reciprocal(f));
+    }
+  }
 
   /// Winner of draw `t`: argmax over the active set of the counter-based
   /// bids rng::deterministic_bid(seed, t, global index, f).  Pure function
@@ -206,6 +248,27 @@ class DeterministicDrawKernel {
   /// each, resident in L1 — draw_scored stays const and allocation-free.
   static constexpr std::size_t kBlock = 256;
 
+  /// The one packing loop of both constructors: exactly `positive_count`
+  /// slots, in ascending index order.
+  void pack(std::span<const double> fitness, std::size_t positive_count) {
+    active_.reserve(positive_count);
+    f_.reserve(positive_count);
+    inv_f_.reserve(positive_count);
+    for (std::size_t i = 0; i < fitness.size(); ++i) {
+      if (!(fitness[i] > 0.0)) continue;
+      active_.push_back(index_base_ + i);
+      f_.push_back(fitness[i]);
+      inv_f_.push_back(bid_filter::bound_reciprocal(fitness[i]));
+    }
+    LRB_ASSERT(active_.size() == positive_count,
+               "positive count must match the block");
+    LRB_OBS_COUNTER_ADD("lrb_core_det_kernel_builds_total", 1);
+    LRB_OBS_COUNTER_ADD("lrb_core_det_kernel_items_total", size_);
+    LRB_OBS_COUNTER_ADD("lrb_core_det_kernel_active_items_total",
+                        active_.size());
+  }
+
+  std::uint64_t index_base_ = 0;
   std::size_t size_ = 0;
   std::vector<std::uint64_t> active_;  // global indices of positive items
   std::vector<double> f_;              // fitness, packed over the active set

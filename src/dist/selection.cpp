@@ -22,9 +22,14 @@ constexpr std::uint64_t kNoIndex = std::numeric_limits<std::uint64_t>::max();
 
 /// Updates may legally drive every entry to zero; a draw from that state is
 /// a user error and throws like every serial selector (common/math.hpp's
-/// checked_fitness_total), not an internal-invariant abort.
+/// checked_fitness_total), not an internal-invariant abort.  Judged by the
+/// exact positive counts, not by a floating-point total.
 void require_positive_total(const ShardedFitness& shards) {
-  LRB_REQUIRE(shards.total() > 0.0, InvalidFitnessError,
+  bool any_positive = false;
+  for (std::size_t r = 0; r < shards.ranks() && !any_positive; ++r) {
+    any_positive = shards.positive_count(r) > 0;
+  }
+  LRB_REQUIRE(any_positive, InvalidFitnessError,
               "distributed selection requires at least one positive fitness");
 }
 
@@ -55,7 +60,7 @@ BatchDrawResult bidding_batch_scaffold(const ShardedFitness& shards,
       p, std::vector<ArgMax>(batch, ArgMax{kNoBid, kNoIndex}));
   for (std::size_t r = 0; r < p; ++r) {
     if (!backend.owns_rank(r)) continue;
-    if (!(shards.shard_sum(r) > 0.0)) continue;
+    if (shards.positive_count(r) == 0) continue;
     fill_rank(r, local[r]);
   }
 
@@ -138,12 +143,12 @@ BatchDrawResult distributed_bidding_deterministic_batch(
   // shards reconstructs the serial argmax exactly — for any P and any
   // partition (skipped all-zero ranks are absent from the serial scan too).
   // Identical collective to the stream batch: the deterministic contract
-  // costs extra Philox compute, zero extra ledger.
+  // costs extra Philox compute, zero extra ledger.  The kernel is the one
+  // ShardedFitness keeps patched across updates — nothing is packed here.
   return bidding_batch_scaffold(
       shards, batch, "distributed_bidding_deterministic_batch",
       [&](std::size_t r, std::vector<ArgMax>& rows) {
-        const parallel::Range range = shards.shard_range(r);
-        const core::DeterministicDrawKernel kernel(shards.shard(r), range.begin);
+        const core::DeterministicDrawKernel& kernel = shards.shard_kernel(r);
         for (std::size_t t = 0; t < rows.size(); ++t) {
           const core::DeterministicDrawKernel::Scored won =
               kernel.draw_scored(seed, first_draw_id + t);

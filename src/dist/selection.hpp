@@ -91,8 +91,9 @@ struct BatchDrawResult {
 /// seeds.child(r), so the same master seed selects different individuals at
 /// P = 4 vs P = 8.  Here instead every rank computes the pure-function bids
 /// rng::deterministic_bid(seed, draw_id, global index, f) over its own shard
-/// (one core::DeterministicDrawKernel, filtered exactly like the stream hot
-/// path) and the usual argmax-allreduce crowns the winner — so the selected
+/// (the core::DeterministicDrawKernel ShardedFitness keeps for that shard,
+/// filtered exactly like the stream hot path, never re-packed per batch) and
+/// the usual argmax-allreduce crowns the winner — so the selected
 /// index is a function of (seed, draw_id, fitness) alone: bit-identical to
 /// serial core::DeterministicBidder at every rank count and every shard
 /// partition, for the SAME communication bill as distributed_bidding

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
+#include "dist/backend.hpp"
 #include "obs/obs.hpp"
 
 namespace lrb::dist {
@@ -85,6 +87,17 @@ void ShardedFitness::install_partition(std::vector<std::size_t> begins) {
     }
     shard_sums_[r] = sum.value();
   }
+  build_kernels();
+}
+
+void ShardedFitness::build_kernels() {
+  const CommBackend& backend = topology_.backend();
+  kernels_.assign(ranks(), std::nullopt);
+  for (std::size_t r = 0; r < ranks(); ++r) {
+    if (!backend.owns_rank(r)) continue;
+    kernels_[r].emplace(core::DeterministicDrawKernel::Prevalidated{},
+                        shard(r), begins_[r], positive_counts_[r]);
+  }
 }
 
 parallel::Range ShardedFitness::shard_range(std::size_t rank) const {
@@ -102,6 +115,22 @@ double ShardedFitness::shard_sum(std::size_t rank) const {
   LRB_REQUIRE(rank < ranks(), InvalidArgumentError,
               "shard_sum: rank out of range");
   return shard_sums_[rank];
+}
+
+std::size_t ShardedFitness::positive_count(std::size_t rank) const {
+  LRB_REQUIRE(rank < ranks(), InvalidArgumentError,
+              "positive_count: rank out of range");
+  return positive_counts_[rank];
+}
+
+const core::DeterministicDrawKernel& ShardedFitness::shard_kernel(
+    std::size_t rank) const {
+  LRB_REQUIRE(rank < ranks(), InvalidArgumentError,
+              "shard_kernel: rank out of range");
+  LRB_REQUIRE(kernels_[rank].has_value(), InvalidArgumentError,
+              "shard_kernel: rank " + std::to_string(rank) +
+                  " is not embodied by this process");
+  return *kernels_[rank];
 }
 
 double ShardedFitness::total() const noexcept {
@@ -139,6 +168,9 @@ void ShardedFitness::update(std::size_t index, double fitness) {
                   std::to_string(index) + ", value " +
                   detail::fitness_value_str(fitness) + ")");
   const std::size_t rank = owner(index);
+  // The kernel first: set() is the only step that can throw (allocation on a
+  // flip), and nothing below it can, so a failed update changes nothing.
+  if (kernels_[rank]) kernels_[rank]->set(index, fitness);
   positive_counts_[rank] += (fitness > 0.0);
   positive_counts_[rank] -= (values_[index] > 0.0);
   shard_sums_[rank] += fitness - values_[index];

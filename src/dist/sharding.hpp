@@ -9,11 +9,16 @@
 //   * a rank's shard span (for the local bidding sub-race / inverse CDF);
 //   * a rank's shard sum (the prefix-sum pipeline's scan input).
 //
-// Point updates are O(1): overwrite the cell, nudge the owning shard's sum by
-// the delta.  That is the distributed echo of the paper's core selling point —
-// logarithmic bidding needs no prebuilt global structure, so a fitness update
-// touches one rank and nothing else (contrast a distributed Fenwick tree or
-// alias table, which must rebuild or ship O(log n) updates).
+// Each rank also keeps the packed active set of its shard — a
+// core::DeterministicDrawKernel — which the deterministic bidding batch reads
+// as is, so a batch never re-packs a shard.  A point update overwrites the
+// cell, nudges the owning shard's sum by the delta and patches that rank's
+// kernel: O(log k_shard) for a re-weight, plus an O(k_shard) move when the
+// entry flips between zero and positive.  That is the distributed echo of the
+// paper's core selling point — logarithmic bidding needs no prebuilt global
+// structure, so a fitness update touches one rank and nothing else (contrast
+// a distributed Fenwick tree or alias table, which must rebuild or ship
+// O(log n) updates).
 //
 // Elasticity: the partition is stored as P+1 shard boundaries, so it can be
 // REPLACED mid-stream — reshard(P') repartitions over a different rank count
@@ -26,9 +31,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "core/deterministic.hpp"
 #include "dist/topology.hpp"
 #include "parallel/partition.hpp"
 
@@ -76,6 +83,18 @@ class ShardedFitness {
   /// downstream never select a shard with nothing to select.
   [[nodiscard]] double shard_sum(std::size_t rank) const;
 
+  /// Number of positive entries in `rank`'s shard — O(1), maintained across
+  /// updates.  The exact "has something to draw" test.
+  [[nodiscard]] std::size_t positive_count(std::size_t rank) const;
+
+  /// The kept deterministic kernel of `rank`'s shard (global indices, current
+  /// values), ready to draw whenever positive_count(rank) > 0.  Only ranks
+  /// this process embodies have one (CommBackend::owns_rank) — a real-backend
+  /// process packs its own shard only, so its cost stays O(n/P); asking for
+  /// another rank's kernel throws InvalidArgumentError.
+  [[nodiscard]] const core::DeterministicDrawKernel& shard_kernel(
+      std::size_t rank) const;
+
   /// Sum of all shard sums.  Bookkeeping convenience for tests and sanity
   /// checks; the selection algorithms recompute the total on the wire so the
   /// ledgers stay honest.
@@ -87,9 +106,11 @@ class ShardedFitness {
   /// The current value at global index `index`.
   [[nodiscard]] double value(std::size_t index) const;
 
-  /// O(1) point update: sets f_index to `fitness` (finite, non-negative) and
-  /// adjusts the owning shard's cached sum by the delta.  May drive the
-  /// global total to zero; the selection entry points then throw
+  /// Point update: sets f_index to `fitness` (finite, non-negative), adjusts
+  /// the owning shard's cached sum by the delta and patches its kept kernel —
+  /// O(log k_shard) for a re-weight, plus an O(k_shard) move when the entry
+  /// flips between zero and positive; no batch rebuilds anything.  May drive
+  /// the global total to zero; the selection entry points then throw
   /// InvalidFitnessError on the next draw, like every serial selector.
   void update(std::size_t index, double fitness);
 
@@ -142,9 +163,13 @@ class ShardedFitness {
   ShardedFitness() : topology_(1) {}
 
   /// Shared tail of construction and resharding: installs `begins` (size
-  /// ranks+1) and recomputes every cached shard sum / positive count from
-  /// values_ with the construction-time Kahan loop.
+  /// ranks+1), recomputes every cached shard sum / positive count from
+  /// values_ with the construction-time Kahan loop, and builds the kernels.
   void install_partition(std::vector<std::size_t> begins);
+
+  /// Packs the kernel of every rank this process embodies from values_,
+  /// begins_ and positive_counts_ (already valid); other ranks get none.
+  void build_kernels();
 
   CommLedger reshard_to(std::vector<std::size_t> new_begins,
                         std::shared_ptr<const CommBackend> backend,
@@ -157,6 +182,8 @@ class ShardedFitness {
   std::vector<std::size_t> begins_;
   std::vector<double> shard_sums_;
   std::vector<std::size_t> positive_counts_;
+  /// One slot per rank, engaged only where topology_.backend().owns_rank(r).
+  std::vector<std::optional<core::DeterministicDrawKernel>> kernels_;
 };
 
 }  // namespace lrb::dist

@@ -228,6 +228,9 @@ struct ShardedFitnessAccess {
                ")");
       }
     }
+    // The kept kernels are derived state, not snapshot bytes: packed from
+    // the verified values, exactly as construction packs them.
+    sf.build_kernels();
     return sf;
   }
 };

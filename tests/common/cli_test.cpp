@@ -1,6 +1,8 @@
 #include "common/cli.hpp"
 
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -95,6 +97,30 @@ TEST(CliArgs, ParseU64RejectsGarbage) {
   EXPECT_EQ(CliArgs::parse_u64("18446744073709551615"),
             std::uint64_t{18446744073709551615u});
   EXPECT_EQ(CliArgs::parse_u64("1e+3"), 1000u);
+}
+
+TEST(CliArgs, ParseDoubleReadsWholeFiniteTokens) {
+  EXPECT_EQ(CliArgs::parse_double("2.5"), 2.5);
+  EXPECT_EQ(CliArgs::parse_double("-3"), -3.0);  // sign is the caller's check
+  EXPECT_EQ(CliArgs::parse_double("0"), 0.0);
+  EXPECT_EQ(CliArgs::parse_double("1e-310"), 1e-310);  // subnormal
+  EXPECT_GT(CliArgs::parse_double("4.9e-324"), 0.0);   // smallest subnormal
+  EXPECT_EQ(CliArgs::parse_double("1.7976931348623157e308"),
+            std::numeric_limits<double>::max());
+}
+
+TEST(CliArgs, ParseDoubleRejectsAndQuotesTheToken) {
+  for (const char* bad : {"1e400", "-1e400", "abc", "1x", "nan", "inf", "-inf",
+                          "", "1e-400", "2.5 "}) {
+    try {
+      (void)CliArgs::parse_double(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + bad + "'"),
+                std::string::npos)
+          << "error must quote the token: " << e.what();
+    }
+  }
 }
 
 TEST(CliArgs, GetDoubleParses) {

@@ -638,7 +638,22 @@ int run_compare(const lrb::CliArgs& args) {
     return 2;
   }
   const std::string new_path = args.positionals().front();
-  const double tolerance = args.get_double("max-regression", 0.10);
+  // A NaN tolerance would make every "slower than 1 + tolerance" test false
+  // and turn the timing gate off, so only a finite value >= 0 is usable.
+  const std::string tolerance_text = args.get_string("max-regression", "0.10");
+  double tolerance = 0.0;
+  try {
+    tolerance = lrb::CliArgs::parse_double(tolerance_text);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_json: --max-regression: %s\n", e.what());
+    return 2;
+  }
+  if (tolerance < 0.0) {
+    std::fprintf(stderr,
+                 "bench_json: --max-regression must not be negative (got '%s')\n",
+                 tolerance_text.c_str());
+    return 2;
+  }
   const std::string timing_mode = args.get_string("timing", "enforce");
   if (timing_mode != "enforce" && timing_mode != "report") {
     std::fprintf(stderr, "bench_json: --timing must be enforce|report\n");

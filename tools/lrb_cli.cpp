@@ -83,11 +83,11 @@ std::vector<double> read_weights(const lrb::CliArgs& args) {
       from_stdin = true;
       continue;
     }
-    weights.push_back(std::stod(tok));
+    weights.push_back(lrb::CliArgs::parse_double(tok));
   }
   if (from_stdin && weights.empty()) {
-    double w;
-    while (std::cin >> w) weights.push_back(w);
+    std::string tok;
+    while (std::cin >> tok) weights.push_back(lrb::CliArgs::parse_double(tok));
   }
   return weights;
 }
