@@ -11,7 +11,7 @@
 
 #include "lrb.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const lrb::CliArgs args(argc, argv);
   const std::size_t n = args.get_u64("vertices", 80);
   const double density = args.get_double("density", 0.4);
@@ -53,4 +53,7 @@ int main(int argc, char** argv) {
   std::printf("\ngreedy upper bound (max degree + 1): %zu\n",
               graph.max_degree() + 1);
   return 0;
+} catch (const lrb::InvalidArgumentError& e) {
+  std::fprintf(stderr, "vertex_coloring: %s\n", e.what());
+  return 2;
 }

@@ -108,12 +108,7 @@ std::uint64_t CliArgs::get_u64(const std::string& name, std::uint64_t def,
 double CliArgs::get_double(const std::string& name, double def,
                            const std::string& env) const {
   const auto v = lookup(name, env);
-  if (!v) return def;
-  char* end = nullptr;
-  const double d = std::strtod(v->c_str(), &end);
-  LRB_REQUIRE(end != nullptr && *end == '\0', InvalidArgumentError,
-              "cannot parse '" + *v + "' as a double");
-  return d;
+  return v ? parse_double(*v) : def;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool def,

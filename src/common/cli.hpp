@@ -34,6 +34,7 @@ class CliArgs {
                                       std::uint64_t def,
                                       const std::string& env = "") const;
 
+  /// Finite double option with env fallback, parsed by parse_double.
   [[nodiscard]] double get_double(const std::string& name, double def,
                                   const std::string& env = "") const;
 

@@ -49,25 +49,6 @@ class KahanSum {
 
   [[nodiscard]] constexpr double value() const noexcept { return sum_ + comp_; }
 
-  /// The two words of the compensated state, exposed for checkpointing
-  /// (lrb::persist): value() collapses them, but future add() calls depend
-  /// on the exact (sum, compensation) split, so a bit-identical restore must
-  /// carry both.
-  [[nodiscard]] constexpr double sum_part() const noexcept { return sum_; }
-  [[nodiscard]] constexpr double compensation_part() const noexcept {
-    return comp_;
-  }
-
-  /// Rebuilds an accumulator from checkpointed parts.  from_parts(sum_part(),
-  /// compensation_part()) is the identity.
-  [[nodiscard]] static constexpr KahanSum from_parts(double sum,
-                                                     double comp) noexcept {
-    KahanSum s;
-    s.sum_ = sum;
-    s.comp_ = comp;
-    return s;
-  }
-
  private:
   double sum_ = 0.0;
   double comp_ = 0.0;

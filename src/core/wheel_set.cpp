@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/math.hpp"
 #include "core/bid_filter.hpp"
 #include "obs/obs.hpp"
 #include "rng/wheel_keys.hpp"
@@ -31,7 +32,6 @@ WheelSet::WheelSet(WheelSet&& other) noexcept
       values_(std::move(other.values_)),
       seeds_(std::move(other.seeds_)),
       cursors_(std::move(other.cursors_)),
-      sums_(std::move(other.sums_)),
       positive_count_(std::move(other.positive_count_)),
       dirty_(std::move(other.dirty_)),
       active_streams_(std::move(other.active_streams_)),
@@ -53,7 +53,6 @@ WheelSet& WheelSet::operator=(WheelSet&& other) noexcept {
     values_ = std::move(other.values_);
     seeds_ = std::move(other.seeds_);
     cursors_ = std::move(other.cursors_);
-    sums_ = std::move(other.sums_);
     positive_count_ = std::move(other.positive_count_);
     dirty_ = std::move(other.dirty_);
     active_streams_ = std::move(other.active_streams_);
@@ -113,13 +112,7 @@ std::size_t WheelSet::add_wheel(std::span<const double> fitness,
   pos_in_active_.resize(base + n);
   seeds_.push_back(wheel_seed);
   cursors_.push_back(0);
-  KahanSum sum;
-  std::size_t positives = 0;
-  for (double f : fitness) {
-    sum.add(f);
-    positives += (f > 0.0);
-  }
-  sums_.push_back(positives == 0 ? KahanSum{} : sum);
+  const std::size_t positives = count_nonzero(fitness);
   positive_count_.push_back(positives);
   dirty_.push_back(1);
   rebuild_active(w);
@@ -164,8 +157,6 @@ void WheelSet::update(std::size_t wheel, std::size_t item, double fitness) {
   const double old = values_[slot];
   const bool was = old > 0.0;
   const bool now = fitness > 0.0;
-  sums_[wheel].add(-old);
-  sums_[wheel].add(fitness);
   values_[slot] = fitness;
   if (was != now) {
     // Membership flip: defer the O(n_w) repack to this wheel's next draw.
@@ -182,18 +173,6 @@ void WheelSet::update(std::size_t wheel, std::size_t item, double fitness) {
     const std::size_t p = offsets_[wheel] + pos_in_active_[slot];
     active_f_[p] = fitness;
     active_inv_f_[p] = bid_filter::bound_reciprocal(fitness);
-  }
-  // Delta maintenance leaves rounding residue when large and small entries
-  // cancel.  Keep the invariant "wheel_sum > 0 iff a positive entry
-  // exists": an emptied wheel snaps to exactly zero, and a non-empty wheel
-  // whose cached sum degenerated is recomputed — O(n_w), but only on
-  // pathological cancellation (the ShardedFitness idiom).
-  if (positive_count_[wheel] == 0) {
-    sums_[wheel] = KahanSum{};
-  } else if (sums_[wheel].value() <= 0.0) {
-    KahanSum sum;
-    for (double f : wheel_values(wheel)) sum.add(f);
-    sums_[wheel] = sum;
   }
   LRB_OBS_COUNTER_ADD("lrb_wheelset_updates_total", 1);
 }

@@ -11,8 +11,9 @@
 //
 //   * structure-of-arrays storage: all K wheels' fitness concatenated into
 //     one arena with per-wheel offsets, plus per-wheel seed / draw-cursor /
-//     compensated-sum state — admission cost is paid once per tenant, not
-//     once per draw;
+//     positive-count state — admission cost is paid once per tenant, not
+//     once per draw.  No per-wheel sum is kept: bidding needs none, so the
+//     state is the values, the seeds and the cursors;
 //   * packed active sets (positive-fitness item index, fitness, cached 1/f)
 //     maintained per wheel: O(1) point updates patch values in place, and a
 //     membership flip (zero <-> positive) marks only that wheel for an
@@ -39,7 +40,6 @@
 #include <span>
 #include <vector>
 
-#include "common/math.hpp"
 #include "simd/segmented.hpp"
 
 namespace lrb::persist {
@@ -102,13 +102,6 @@ class WheelSet {
     check_item(wheel, item, "value");
     return values_[offsets_[wheel] + item];
   }
-  /// Cached compensated fitness total of one wheel.  Invariant (maintained
-  /// exactly, as ShardedFitness does): positive iff the wheel holds a
-  /// positive entry, exactly 0.0 when emptied.
-  [[nodiscard]] double wheel_sum(std::size_t wheel) const {
-    check_wheel(wheel, "wheel_sum");
-    return sums_[wheel].value();
-  }
   /// Number of positive-fitness items ("k" in the paper's Theorem 1).
   [[nodiscard]] std::size_t active_count(std::size_t wheel) const {
     check_wheel(wheel, "active_count");
@@ -131,11 +124,8 @@ class WheelSet {
   }
 
   /// O(1) point update.  Same-membership updates patch the packed active
-  /// arrays in place; a zero <-> positive flip defers the O(n_w) repack to
-  /// the wheel's next draw.  The cached sum takes the delta through the
-  /// wheel's carried Kahan state and keeps the sign invariant of
-  /// wheel_sum() (snap to exact 0.0 when emptied; Kahan recompute on
-  /// pathological cancellation — O(n_w), only when the cache degenerates).
+  /// arrays in place; a zero <-> positive flip adjusts the positive count
+  /// and defers the O(n_w) repack to the wheel's next draw.
   void update(std::size_t wheel, std::size_t item, double fitness);
 
   /// Batched deterministic draws: ONE validation sweep over the request
@@ -154,8 +144,8 @@ class WheelSet {
 
  private:
   // The checkpoint layer (persist/snapshot.cpp) reads every field verbatim
-  // and reconstructs arenas field by field — Kahan carries and deferred
-  // dirty flags included, which no public accessor exposes in full.
+  // and reconstructs arenas field by field — deferred dirty flags included,
+  // which no public accessor exposes.
   friend struct lrb::persist::WheelSetAccess;
 
   /// Tile capacity: 4 x 16 KiB scratch, L2-resident; big enough to amortize
@@ -199,7 +189,6 @@ class WheelSet {
   std::vector<double> values_;        // all wheels' fitness, concatenated
   std::vector<std::uint64_t> seeds_;  // per-wheel Philox keys
   std::vector<std::uint64_t> cursors_;        // per-wheel next draw id
-  std::vector<KahanSum> sums_;                // per-wheel cached totals
   std::vector<std::size_t> positive_count_;   // per-wheel active item count
   std::vector<std::uint8_t> dirty_;   // packed actives stale for this wheel
   // Packed active sets: wheel w's positive items occupy the prefix

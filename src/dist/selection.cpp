@@ -180,9 +180,14 @@ DrawResult distributed_prefix_sum(const ShardedFitness& shards,
   const std::size_t p = topo.ranks();
   DrawResult result;
 
-  // Shard sums are cached rank-locally (no communication).
-  std::vector<double> sums(p);
-  for (std::size_t r = 0; r < p; ++r) sums[r] = shards.shard_sum(r);
+  // Each rank sums its own shard (no communication) — only ranks this
+  // process embodies, so a real-backend process stays O(n/P); the
+  // collectives read nothing else.
+  const CommBackend& backend = topo.backend();
+  std::vector<double> sums(p, 0.0);
+  for (std::size_t r = 0; r < p; ++r) {
+    if (backend.owns_rank(r)) sums[r] = shards.shard_sum(r);
+  }
 
   // 1. Exclusive scan: every rank learns the CDF offset of its shard.
   const std::vector<double> offsets =
@@ -197,7 +202,7 @@ DrawResult distributed_prefix_sum(const ShardedFitness& shards,
   //    overwritten by the broadcast below.
   constexpr std::size_t kRoot = 0;
   const double total = reduce_sum(topo, sums, kRoot, result.comm);
-  if (topo.backend().owns_rank(kRoot)) {
+  if (backend.owns_rank(kRoot)) {
     LRB_ASSERT(total > 0.0, "sharded fitness total must be positive");
   }
   rng::Xoshiro256StarStar gen(seeds.child("prefix-threshold"));
@@ -236,12 +241,12 @@ PrefixLocation prefix_sum_locate(const ShardedFitness& shards,
   // [offset, offset + sum) contains the threshold.  Resolved as "LAST
   // non-empty rank with offset <= threshold", which is the same rank in
   // exact arithmetic and never gaps or double-claims under rounding: empty
-  // and all-zero shards (sum exactly 0.0 — sharding.cpp snaps them) can
+  // and all-zero shards (no positive entry, so their sum is exactly 0.0) can
   // never own, and a threshold exactly on a shard boundary belongs to the
   // rank STARTING there, matching the half-open intervals.
   std::size_t owner = kNoIndex;
   for (std::size_t r = 0; r < p; ++r) {
-    if (shards.shard_sum(r) > 0.0 && offsets[r] <= threshold) owner = r;
+    if (shards.positive_count(r) > 0 && offsets[r] <= threshold) owner = r;
   }
   LRB_ASSERT(owner != kNoIndex, "threshold below total implies an owner");
 

@@ -77,15 +77,9 @@ ShardedFitness::ShardedFitness(std::span<const double> fitness,
 void ShardedFitness::install_partition(std::vector<std::size_t> begins) {
   begins_ = std::move(begins);
   const std::size_t p = begins_.size() - 1;
-  shard_sums_.assign(p, 0.0);
-  positive_counts_.assign(p, 0);
+  positive_counts_.resize(p);
   for (std::size_t r = 0; r < p; ++r) {
-    KahanSum sum;
-    for (double f : shard(r)) {
-      sum.add(f);
-      positive_counts_[r] += (f > 0.0);
-    }
-    shard_sums_[r] = sum.value();
+    positive_counts_[r] = count_nonzero(shard(r));
   }
   build_kernels();
 }
@@ -114,7 +108,7 @@ std::span<const double> ShardedFitness::shard(std::size_t rank) const {
 double ShardedFitness::shard_sum(std::size_t rank) const {
   LRB_REQUIRE(rank < ranks(), InvalidArgumentError,
               "shard_sum: rank out of range");
-  return shard_sums_[rank];
+  return accurate_sum(shard(rank));
 }
 
 std::size_t ShardedFitness::positive_count(std::size_t rank) const {
@@ -135,7 +129,7 @@ const core::DeterministicDrawKernel& ShardedFitness::shard_kernel(
 
 double ShardedFitness::total() const noexcept {
   KahanSum sum;
-  for (double s : shard_sums_) sum.add(s);
+  for (std::size_t r = 0; r < ranks(); ++r) sum.add(shard_sum(r));
   return sum.value();
 }
 
@@ -173,20 +167,7 @@ void ShardedFitness::update(std::size_t index, double fitness) {
   if (kernels_[rank]) kernels_[rank]->set(index, fitness);
   positive_counts_[rank] += (fitness > 0.0);
   positive_counts_[rank] -= (values_[index] > 0.0);
-  shard_sums_[rank] += fitness - values_[index];
   values_[index] = fitness;
-  // Delta maintenance leaves rounding residue (of either sign) when large
-  // and small entries cancel.  Keep the invariant "sum > 0 iff the shard
-  // holds a positive entry": an emptied shard snaps to exactly zero, and a
-  // non-empty shard whose cached sum degenerated is recomputed — O(shard),
-  // but only on pathological cancellation.
-  if (positive_counts_[rank] == 0) {
-    shard_sums_[rank] = 0.0;
-  } else if (shard_sums_[rank] <= 0.0) {
-    KahanSum sum;
-    for (double f : shard(rank)) sum.add(f);
-    shard_sums_[rank] = sum.value();
-  }
 }
 
 CommLedger ShardedFitness::reshard(std::size_t new_ranks) {
@@ -259,8 +240,7 @@ CommLedger ShardedFitness::reshard_to(
       new_ranks, keep_backend ? topology_.backend_handle() : std::move(backend));
   // No checked_fitness_total here, deliberately: resharding must be legal
   // while the global total is transiently zero (recovery can race a zeroing
-  // update stream).  The cached sums still come out bit-identical to a fresh
-  // construction at the same boundaries — same per-shard Kahan loop.
+  // update stream).
   install_partition(std::move(new_begins));
 
   LRB_OBS_COUNTER_ADD("lrb_fault_reshards_total", 1);

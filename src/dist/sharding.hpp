@@ -3,16 +3,20 @@
 // The global fitness vector f_0..f_{n-1} is partitioned into P contiguous
 // blocks (sizes differing by at most one, via parallel::partition_range — the
 // same deterministic split the shared-memory paths use).  Each rank owns its
-// block plus a cached block sum, so the two quantities distributed selection
-// needs are local and O(1):
+// block plus the count of its positive entries, so the questions bidding asks
+// are local and O(1):
 //
 //   * a rank's shard span (for the local bidding sub-race / inverse CDF);
-//   * a rank's shard sum (the prefix-sum pipeline's scan input).
+//   * whether the shard has anything to draw (its positive count).
+//
+// No floating-point sum is kept: bidding needs none, and the prefix-sum
+// baseline sums its own shard per draw (shard_sum), so the state is the
+// values and the boundaries, whatever order the updates came in.
 //
 // Each rank also keeps the packed active set of its shard — a
 // core::DeterministicDrawKernel — which the deterministic bidding batch reads
 // as is, so a batch never re-packs a shard.  A point update overwrites the
-// cell, nudges the owning shard's sum by the delta and patches that rank's
+// cell, adjusts the owning shard's positive count and patches that rank's
 // kernel: O(log k_shard) for a re-weight, plus an O(k_shard) move when the
 // entry flips between zero and positive.  That is the distributed echo of the
 // paper's core selling point — logarithmic bidding needs no prebuilt global
@@ -77,10 +81,10 @@ class ShardedFitness {
   /// The fitness values owned by `rank` (possibly empty).
   [[nodiscard]] std::span<const double> shard(std::size_t rank) const;
 
-  /// Cached sum of `rank`'s shard — O(1), maintained across updates.
-  /// Guaranteed positive iff the shard holds a positive entry: an emptied
-  /// shard reports exactly 0.0 (no rounding residue), so ownership tests
-  /// downstream never select a shard with nothing to select.
+  /// Compensated (Kahan) sum of `rank`'s shard, computed from the current
+  /// values — O(shard).  Positive iff the shard holds a positive entry; an
+  /// all-zero or empty shard sums to exactly +0.0.  Only the prefix-sum
+  /// baseline needs it; bidding asks positive_count instead.
   [[nodiscard]] double shard_sum(std::size_t rank) const;
 
   /// Number of positive entries in `rank`'s shard — O(1), maintained across
@@ -95,9 +99,9 @@ class ShardedFitness {
   [[nodiscard]] const core::DeterministicDrawKernel& shard_kernel(
       std::size_t rank) const;
 
-  /// Sum of all shard sums.  Bookkeeping convenience for tests and sanity
-  /// checks; the selection algorithms recompute the total on the wire so the
-  /// ledgers stay honest.
+  /// Compensated sum of every shard_sum — O(n).  Bookkeeping convenience for
+  /// tests and sanity checks; the selection algorithms recompute the total on
+  /// the wire so the ledgers stay honest.
   [[nodiscard]] double total() const noexcept;
 
   /// The rank owning global index `index`.
@@ -107,7 +111,7 @@ class ShardedFitness {
   [[nodiscard]] double value(std::size_t index) const;
 
   /// Point update: sets f_index to `fitness` (finite, non-negative), adjusts
-  /// the owning shard's cached sum by the delta and patches its kept kernel —
+  /// the owning shard's positive count and patches its kept kernel —
   /// O(log k_shard) for a re-weight, plus an O(k_shard) move when the entry
   /// flips between zero and positive; no batch rebuilds anything.  May drive
   /// the global total to zero; the selection entry points then throw
@@ -118,9 +122,9 @@ class ShardedFitness {
   /// including the P'=1 collapse and P' > n with trailing empty shards),
   /// keeping the current backend.  The result is indistinguishable from a
   /// freshly constructed ShardedFitness(values, new_ranks) — same
-  /// boundaries, bit-identical cached shard sums (recomputed by the same
-  /// Kahan loop) — except that no validation pass runs: resharding is legal
-  /// mid-update-stream even while the global total is transiently zero.
+  /// boundaries, positive counts and kernels — except that no validation
+  /// pass runs: resharding is legal mid-update-stream even while the global
+  /// total is transiently zero.
   ///
   /// Returns the data-motion bill: O(moved) — `words` counts exactly the
   /// cells whose owning rank changed, `messages` the distinct (old owner ->
@@ -151,10 +155,9 @@ class ShardedFitness {
                               std::shared_ptr<const CommBackend> backend);
 
  private:
-  // The checkpoint layer (persist/snapshot.cpp) must restore the cached
-  // shard sums VERBATIM — they are delta-maintained, so the recomputing
-  // constructor could disagree in the last ulp — which needs field-level
-  // access and the validation-free default constructor below.
+  // The checkpoint layer (persist/snapshot.cpp) restores the values and
+  // boundaries field by field, with its own corruption checks, which needs
+  // field-level access and the validation-free default constructor below.
   friend struct lrb::persist::ShardedFitnessAccess;
 
   /// Restore-only: an empty placeholder the snapshot layer fills field by
@@ -163,8 +166,8 @@ class ShardedFitness {
   ShardedFitness() : topology_(1) {}
 
   /// Shared tail of construction and resharding: installs `begins` (size
-  /// ranks+1), recomputes every cached shard sum / positive count from
-  /// values_ with the construction-time Kahan loop, and builds the kernels.
+  /// ranks+1), counts every shard's positive entries from values_, and
+  /// builds the kernels.
   void install_partition(std::vector<std::size_t> begins);
 
   /// Packs the kernel of every rank this process embodies from values_,
@@ -180,7 +183,6 @@ class ShardedFitness {
   /// Shard boundaries: rank r owns [begins_[r], begins_[r+1]).  Uniform
   /// block partition at construction; replaced wholesale by reshard.
   std::vector<std::size_t> begins_;
-  std::vector<double> shard_sums_;
   std::vector<std::size_t> positive_counts_;
   /// One slot per rank, engaged only where topology_.backend().owns_rank(r).
   std::vector<std::optional<core::DeterministicDrawKernel>> kernels_;

@@ -75,7 +75,7 @@ struct RecoveryRun {
     std::size_t draws, std::size_t batch = 1);
 
 /// Durably checkpoints a distributed selection stream: `shards` (values,
-/// boundaries, cached sums verbatim) and `cursor` (two integers) into one
+/// boundaries) and `cursor` (two integers) into one
 /// lrb-snap/v1 file at `path`, committed atomically — a crash mid-write
 /// leaves any previous checkpoint intact (persist/io.hpp).
 void save_selection_checkpoint(const std::string& path,

@@ -50,9 +50,11 @@ struct WheelSetAccess {
     for (double f : ws.values_) w.f64(f);
     for (std::uint64_t s : ws.seeds_) w.u64(s);
     for (std::uint64_t c : ws.cursors_) w.u64(c);
-    for (const KahanSum& s : ws.sums_) {
-      w.f64(s.sum_part());
-      w.f64(s.compensation_part());
+    // The v1 layout's per-wheel Kahan (sum, compensation) words, filled from
+    // the values so the bytes do not depend on the order of updates.
+    for (std::size_t k = 0; k < wheels; ++k) {
+      w.f64(accurate_sum(ws.wheel_values(k)));
+      w.f64(0.0);
     }
     for (std::size_t p : ws.positive_count_) w.u64(p);
     for (std::uint8_t d : ws.dirty_) w.u8(d);
@@ -97,11 +99,14 @@ struct WheelSetAccess {
     for (std::uint64_t k = 0; k < wheels; ++k) {
       ws.cursors_[k] = r.u64("cursor");
     }
-    ws.sums_.resize(wheels);
+    // Read only for the sign check below, then dropped.  A snapshot may
+    // carry a live accumulator here (non-zero compensation included) or
+    // (sum, 0.0); both collapse to sum + compensation.
+    std::vector<double> sums(wheels);
     for (std::uint64_t k = 0; k < wheels; ++k) {
       const double sum = r.f64("kahan sum");
       const double comp = r.f64("kahan compensation");
-      ws.sums_[k] = KahanSum::from_parts(sum, comp);
+      sums[k] = sum + comp;
     }
     ws.positive_count_.resize(wheels);
     std::size_t total_active = 0;
@@ -123,17 +128,13 @@ struct WheelSetAccess {
     // assertion would abort, not throw, on a bad count): the positive
     // counts and sum invariants must match what the values imply.
     for (std::uint64_t k = 0; k < wheels; ++k) {
-      std::size_t recount = 0;
-      for (std::size_t i = ws.offsets_[k]; i < ws.offsets_[k + 1]; ++i) {
-        recount += (ws.values_[i] > 0.0);
-      }
+      const std::size_t recount = count_nonzero(ws.wheel_values(k));
       if (recount != ws.positive_count_[k]) {
         r.fail("positive count does not match the values (wheel " +
                std::to_string(k) + ")");
       }
-      const bool sum_positive = ws.sums_[k].value() > 0.0;
-      if (sum_positive != (recount > 0)) {
-        r.fail("cached sum sign does not match the positive count (wheel " +
+      if ((sums[k] > 0.0) != (recount > 0)) {
+        r.fail("stored sum sign does not match the positive count (wheel " +
                std::to_string(k) + ")");
       }
     }
@@ -168,10 +169,8 @@ struct ShardedFitnessAccess {
     w.u64(sf.values_.size());
     for (double f : sf.values_) w.f64(f);
     for (std::size_t b : sf.begins_) w.u64(b);
-    // Cached sums VERBATIM: delta-maintained, so a Kahan recompute at the
-    // same boundaries can differ in the last ulp — and the restored object
-    // must be bit-identical to the live one, residue included.
-    for (double s : sf.shard_sums_) w.f64(s);
+    // The v1 layout's shard-sum words, recomputed from the values.
+    for (std::size_t b = 0; b < ranks; ++b) w.f64(sf.shard_sum(b));
     for (std::size_t p : sf.positive_counts_) w.u64(p);
     return w.take();
   }
@@ -204,26 +203,22 @@ struct ShardedFitnessAccess {
                std::to_string(b) + ")");
       }
     }
-    sf.shard_sums_.resize(ranks);
-    for (std::uint64_t b = 0; b < ranks; ++b) {
-      sf.shard_sums_[b] = r.f64("shard sum");
-    }
+    // Read only for the sign check below, then dropped.
+    std::vector<double> sums(ranks);
+    for (std::uint64_t b = 0; b < ranks; ++b) sums[b] = r.f64("shard sum");
     sf.positive_counts_.resize(ranks);
     for (std::uint64_t b = 0; b < ranks; ++b) {
       sf.positive_counts_[b] = r.u64("positive count");
-      std::size_t recount = 0;
-      for (std::size_t i = sf.begins_[b]; i < sf.begins_[b + 1]; ++i) {
-        recount += (sf.values_[i] > 0.0);
-      }
+      const std::size_t recount = count_nonzero(sf.shard(b));
       if (recount != sf.positive_counts_[b]) {
         r.fail("positive count does not match the values (rank " +
                std::to_string(b) + ")");
       }
-      // The sharding invariant: sum > 0 iff a positive entry exists, and
-      // an emptied shard caches exactly 0.0 (no residue).
-      const double s = sf.shard_sums_[b];
+      // The sum word's invariant: > 0 iff a positive entry exists, and
+      // exactly 0.0 for an emptied shard (no residue).
+      const double s = sums[b];
       if (!std::isfinite(s) || (recount == 0 ? s != 0.0 : !(s > 0.0))) {
-        r.fail("cached shard sum violates the sign invariant (rank " +
+        r.fail("stored shard sum violates the sign invariant (rank " +
                std::to_string(b) + ", value " + lrb::detail::fitness_value_str(s) +
                ")");
       }

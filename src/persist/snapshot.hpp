@@ -15,12 +15,18 @@
 // One snapshot holds any subset of the sections, so a WheelSet service and
 // a distributed selection service share the same container.  Restore is
 // BIT-IDENTICAL to the live object at save time: values, per-wheel seeds
-// and cursors, BOTH words of every Kahan accumulator, cached shard sums
-// verbatim (they are delta-maintained, so recomputing them could differ in
-// the low bits), and the deferred-repack dirty flags — continuing the draw
-// stream from a restored object produces byte-identical winners on every
-// SIMD dispatch target (tests/persist/, the CI crash job, and bench_json's
-// restore_bit_exact_everywhere invariant all enforce this).
+// and cursors, shard boundaries, and the deferred-repack dirty flags —
+// continuing the draw stream from a restored object produces byte-identical
+// winners on every SIMD dispatch target (tests/persist/, the CI crash job,
+// and bench_json's restore_bit_exact_everywhere invariant all enforce this).
+//
+// Neither object keeps a floating-point sum, so the bytes are a function of
+// that state alone: equal states encode identically, whatever their update
+// history.  The layout still has the sum words of the builds that kept
+// sums (a Kahan sum and compensation per wheel, a sum per shard).  The
+// encoder fills them from the values (compensation 0.0); the decoder checks
+// their sign against the recounted positives and drops them, so snapshots
+// that stored live sums still restore.
 //
 // Verification before construction: magic, version, per-section CRC, and
 // semantic cross-checks (monotone offsets, recounted positives, finite
@@ -82,7 +88,8 @@ class Snapshot {
   // --- typed sections -----------------------------------------------------
 
   /// Captures the full WheelSet state: arena values, offsets, per-wheel
-  /// seeds / cursors / Kahan carries / positive counts / dirty flags.
+  /// seeds / cursors / positive counts / dirty flags, plus each wheel's sum
+  /// computed from its values (the v1 sum words).
   void put_wheel_set(const core::WheelSet& ws);
 
   /// Reconstructs the WheelSet.  The packed active sets are rebuilt from
@@ -91,9 +98,8 @@ class Snapshot {
   /// bit-identically to the saved one, deferred repacks included.
   [[nodiscard]] core::WheelSet wheel_set() const;
 
-  /// Captures values, the boundary vector, the cached shard sums VERBATIM
-  /// (delta-maintained — recomputation could differ in the last ulp), and
-  /// positive counts.
+  /// Captures values, the boundary vector, each shard's sum computed from
+  /// its values (the v1 sum words), and positive counts.
   void put_sharded_fitness(const dist::ShardedFitness& shards);
 
   /// Reconstructs the sharded vector on `backend` (null = the simulated

@@ -15,8 +15,8 @@
 //
 // Doubles round-trip through std::bit_cast to uint64: bit-exact for every
 // value including -0.0, subnormals, and NaN payloads — value-level
-// serialization would quietly canonicalize exactly the Kahan compensation
-// words the restore contract needs verbatim.
+// serialization could canonicalize them, and the restore contract needs
+// every fitness value back bit for bit.
 #pragma once
 
 #include <bit>

@@ -127,6 +127,13 @@ TEST(CliArgs, GetDoubleParses) {
   const auto args = make({"prog", "--rho=0.25"});
   EXPECT_DOUBLE_EQ(args.get_double("rho", 0.0), 0.25);
   EXPECT_THROW((void)make({"p", "--x=nanx!"}).get_double("x", 0), InvalidArgumentError);
+  // Same finite parser as parse_double: no NaN, infinity or overflow.
+  for (const char* bad : {"nan", "inf", "1e400"}) {
+    const std::string opt = std::string("--x=") + bad;
+    EXPECT_THROW((void)make({"p", opt.c_str()}).get_double("x", 0),
+                 InvalidArgumentError)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -13,6 +13,12 @@
 #include "rng/engines.hpp"
 #include "rng/xoshiro256.hpp"
 
+namespace lrb::rng {
+// gtest prints a parameter by its engine name, not its raw bytes (found by
+// argument-dependent lookup, so it lives beside EngineKind).
+static void PrintTo(EngineKind kind, std::ostream* os) { *os << to_string(kind); }
+}  // namespace lrb::rng
+
 namespace lrb::core {
 namespace {
 

@@ -50,7 +50,6 @@ TEST(WheelSet, ConstructionAndAccessors) {
     ASSERT_EQ(set.active_count(w), count_nonzero(wheels[w]));
     ASSERT_EQ(set.seed(w), rng::wheel_seed(99, w));
     ASSERT_EQ(set.cursor(w), 0u);
-    EXPECT_DOUBLE_EQ(set.wheel_sum(w), accurate_sum(wheels[w]));
     for (std::size_t i = 0; i < wheels[w].size(); ++i) {
       ASSERT_EQ(set.value(w, i), wheels[w][i]);
     }
@@ -150,8 +149,6 @@ TEST(WheelSet, UpdatesKeepSumsAndDrawsConsistent) {
   }
   for (std::size_t w = 0; w < wheels.size(); ++w) {
     ASSERT_EQ(set.active_count(w), count_nonzero(mutated[w]));
-    ASSERT_NEAR(set.wheel_sum(w), accurate_sum(mutated[w]),
-                1e-9 * accurate_sum(mutated[w]));
     for (std::size_t i = 0; i < mutated[w].size(); ++i) {
       ASSERT_EQ(set.value(w, i), mutated[w][i]);
     }
@@ -170,9 +167,8 @@ TEST(WheelSet, UpdatesKeepSumsAndDrawsConsistent) {
     }
   }
 
-  // Emptying a wheel snaps its sum to exactly 0.0 and makes draws throw.
+  // Emptying a wheel makes draws throw.
   for (std::size_t i = 0; i < mutated[2].size(); ++i) set.update(2, i, 0.0);
-  EXPECT_EQ(set.wheel_sum(2), 0.0);
   EXPECT_EQ(set.active_count(2), 0u);
   const WheelSet::DrawRequest empty_req{2, 1};
   EXPECT_THROW((void)set.draw_batch({&empty_req, 1}), InvalidFitnessError);
@@ -205,7 +201,6 @@ TEST(WheelSet, ErrorSurface) {
   EXPECT_THROW(set.update(0, 9, 1.0), InvalidArgumentError);
   EXPECT_THROW(set.update(0, 0, -1.0), InvalidFitnessError);
   EXPECT_THROW(set.update(9, 0, 1.0), InvalidArgumentError);
-  EXPECT_THROW((void)set.wheel_sum(9), InvalidArgumentError);
   // A batch of zero requests (or zero draws) is a no-op, not an error.
   EXPECT_TRUE(set.draw_batch({}).empty());
   const WheelSet::DrawRequest none{0, 0};

@@ -28,7 +28,8 @@ inline std::string scratch_dir(const std::string& tag) {
 
 /// A WheelSet exercised past its pristine state: several wheels (zeros
 /// included), some draws consumed (non-zero cursors), some updates applied
-/// (non-trivial Kahan carries) — the state a mid-session snapshot sees.
+/// (membership flips and re-weights) — the state a mid-session snapshot
+/// sees.
 inline core::WheelSet seasoned_wheel_set(std::uint64_t set_seed = 42) {
   core::WheelSet ws(set_seed);
   (void)ws.add_wheel(std::vector<double>{0.0, 1.0, 2.0, 3.0});
@@ -44,8 +45,8 @@ inline core::WheelSet seasoned_wheel_set(std::uint64_t set_seed = 42) {
   return ws;
 }
 
-/// A ShardedFitness with uneven shards, an emptied entry, and updates that
-/// left delta-maintained sums with rounding history.
+/// A ShardedFitness with uneven shards, an emptied entry, and a history of
+/// updates.
 inline dist::ShardedFitness seasoned_shards(std::size_t ranks = 4) {
   std::vector<double> fitness{0.0, 1.0,  2.0, 3.0, 0.5, 1e-3,
                               7.0, 0.25, 0.0, 4.0, 2.5, 0.125};

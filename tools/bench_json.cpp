@@ -373,7 +373,7 @@ int run_obs_overhead(const lrb::CliArgs& args) {
 // Persist section: the durability tax (src/persist).
 
 /// Builds a seasoned multi-wheel arena (phase-shifted dense fitness, a few
-/// draws and updates so cursors, Kahan carries, and dirty flags are all
+/// draws and updates so cursors, positive counts, and dirty flags are all
 /// non-trivial) — the state every persist row snapshots.
 lrb::core::WheelSet make_persist_arena(std::size_t wheels, std::size_t n) {
   lrb::core::WheelSet set(17);
