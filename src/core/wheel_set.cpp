@@ -33,11 +33,9 @@ WheelSet::WheelSet(WheelSet&& other) noexcept
       seeds_(std::move(other.seeds_)),
       cursors_(std::move(other.cursors_)),
       positive_count_(std::move(other.positive_count_)),
-      dirty_(std::move(other.dirty_)),
       active_streams_(std::move(other.active_streams_)),
       active_f_(std::move(other.active_f_)),
       active_inv_f_(std::move(other.active_inv_f_)),
-      pos_in_active_(std::move(other.pos_in_active_)),
       total_active_(other.total_active_) {
   // The moved-from arena must stay a valid (empty) arena whose destructor
   // releases nothing: the gauges moved with the wheels.
@@ -54,11 +52,9 @@ WheelSet& WheelSet::operator=(WheelSet&& other) noexcept {
     seeds_ = std::move(other.seeds_);
     cursors_ = std::move(other.cursors_);
     positive_count_ = std::move(other.positive_count_);
-    dirty_ = std::move(other.dirty_);
     active_streams_ = std::move(other.active_streams_);
     active_f_ = std::move(other.active_f_);
     active_inv_f_ = std::move(other.active_inv_f_);
-    pos_in_active_ = std::move(other.pos_in_active_);
     total_active_ = other.total_active_;
     other.offsets_.assign(1, 0);
     other.total_active_ = 0;
@@ -109,12 +105,10 @@ std::size_t WheelSet::add_wheel(std::span<const double> fitness,
   active_streams_.resize(base + n);
   active_f_.resize(base + n);
   active_inv_f_.resize(base + n);
-  pos_in_active_.resize(base + n);
   seeds_.push_back(wheel_seed);
   cursors_.push_back(0);
   const std::size_t positives = count_nonzero(fitness);
   positive_count_.push_back(positives);
-  dirty_.push_back(1);
   rebuild_active(w);
   total_active_ += positives;
   LRB_OBS_GAUGE_ADD("lrb_wheelset_wheels", 1);
@@ -133,12 +127,10 @@ void WheelSet::rebuild_active(std::size_t wheel) {
     active_streams_[base + p] = i;  // LOCAL index == per-wheel Philox stream
     active_f_[base + p] = f;
     active_inv_f_[base + p] = bid_filter::bound_reciprocal(f);
-    pos_in_active_[base + i] = p;
     ++p;
   }
   LRB_ASSERT(p == positive_count_[wheel],
              "packed active prefix must match the maintained positive count");
-  dirty_[wheel] = 0;
 }
 
 void WheelSet::update(std::size_t wheel, std::size_t item, double fitness) {
@@ -153,36 +145,52 @@ void WheelSet::update(std::size_t wheel, std::size_t item, double fitness) {
               "update: fitness must be non-negative (" + wheel_str(wheel) +
                   ", index " + std::to_string(item) + ", value " +
                   detail::fitness_value_str(fitness) + ")");
-  const std::size_t slot = offsets_[wheel] + item;
-  const double old = values_[slot];
-  const bool was = old > 0.0;
+  const std::size_t base = offsets_[wheel];
+  const bool was = values_[base + item] > 0.0;
   const bool now = fitness > 0.0;
-  values_[slot] = fitness;
+  values_[base + item] = fitness;
+  // The packed prefix stays sorted by local index (the rule of
+  // DeterministicDrawKernel::set): a re-weight patches its slot, a flip
+  // shifts the tail [p, end) one slot inside the wheel's own n_w-sized
+  // segment — O(k_w), never an allocation.
+  const std::size_t end = base + positive_count_[wheel];
+  const std::size_t p = static_cast<std::size_t>(
+      std::lower_bound(active_streams_.begin() + base,
+                       active_streams_.begin() + end, std::uint64_t{item}) -
+      active_streams_.begin());
+  const auto shift = [&](auto& v) {
+    if (now) {
+      std::copy_backward(v.begin() + p, v.begin() + end, v.begin() + end + 1);
+    } else {
+      std::copy(v.begin() + p + 1, v.begin() + end, v.begin() + p);
+    }
+  };
   if (was != now) {
-    // Membership flip: defer the O(n_w) repack to this wheel's next draw.
+    shift(active_streams_);
+    shift(active_f_);
+    shift(active_inv_f_);
     positive_count_[wheel] += now ? 1 : std::size_t(-1);
     total_active_ += now ? 1 : std::size_t(-1);
-    dirty_[wheel] = 1;
     if (now) {
       LRB_OBS_GAUGE_ADD("lrb_wheelset_active_items", 1);
     } else {
       LRB_OBS_GAUGE_SUB("lrb_wheelset_active_items", 1);
     }
-  } else if (now && !dirty_[wheel]) {
-    // Same membership: O(1) in-place patch of the packed arrays.
-    const std::size_t p = offsets_[wheel] + pos_in_active_[slot];
+  }
+  if (now) {
+    active_streams_[p] = item;
     active_f_[p] = fitness;
     active_inv_f_[p] = bid_filter::bound_reciprocal(fitness);
   }
   LRB_OBS_COUNTER_ADD("lrb_wheelset_updates_total", 1);
 }
 
-std::size_t WheelSet::prepare_batch(std::span<const DrawRequest> requests) {
+std::size_t WheelSet::prepare_batch(
+    std::span<const DrawRequest> requests) const {
   std::size_t total_draws = 0;
   for (const DrawRequest& r : requests) {
     check_wheel(r.wheel, "draw_batch");
     if (r.draws == 0) continue;
-    if (dirty_[r.wheel]) rebuild_active(r.wheel);
     LRB_REQUIRE(positive_count_[r.wheel] > 0, InvalidFitnessError,
                 "draw_batch: " + wheel_str(r.wheel) +
                     " has no positive fitness");

@@ -15,9 +15,9 @@
 //     once per draw.  No per-wheel sum is kept: bidding needs none, so the
 //     state is the values, the seeds and the cursors;
 //   * packed active sets (positive-fitness item index, fitness, cached 1/f)
-//     maintained per wheel: O(1) point updates patch values in place, and a
-//     membership flip (zero <-> positive) marks only that wheel for an
-//     O(n_w) repack on its next draw;
+//     kept current per wheel, sorted by local index: a re-weight patches its
+//     slot in place and a membership flip (zero <-> positive) shifts the
+//     wheel's O(k_w) tail within its own segment, so draws only read them;
 //   * one batched draw API: a request vector {(wheel, draws)} routes through
 //     a SINGLE validation sweep and a tiled Philox-fill + segmented
 //     bound-pass (simd/segmented.hpp) that concatenates many wheels' bid
@@ -123,9 +123,10 @@ class WheelSet {
     cursors_[wheel] = draw_id;
   }
 
-  /// O(1) point update.  Same-membership updates patch the packed active
-  /// arrays in place; a zero <-> positive flip adjusts the positive count
-  /// and defers the O(n_w) repack to the wheel's next draw.
+  /// Point update.  A re-weight patches the packed active arrays in place
+  /// (O(log k_w) slot search); a zero <-> positive flip inserts or erases
+  /// the slot with an O(k_w) shift inside the wheel's segment.  Never
+  /// allocates.
   void update(std::size_t wheel, std::size_t item, double fitness);
 
   /// Batched deterministic draws: ONE validation sweep over the request
@@ -143,9 +144,9 @@ class WheelSet {
   [[nodiscard]] std::size_t draw_one(std::size_t wheel);
 
  private:
-  // The checkpoint layer (persist/snapshot.cpp) reads every field verbatim
-  // and reconstructs arenas field by field — deferred dirty flags included,
-  // which no public accessor exposes.
+  // The checkpoint layer (persist/snapshot.cpp) reads the fields verbatim
+  // and reconstructs arenas field by field, re-packing the active sets
+  // with rebuild_active.
   friend struct lrb::persist::WheelSetAccess;
 
   /// Tile capacity: 4 x 16 KiB scratch, L2-resident; big enough to amortize
@@ -164,12 +165,12 @@ class WheelSet {
 
   void check_wheel(std::size_t wheel, const char* what) const;
   void check_item(std::size_t wheel, std::size_t item, const char* what) const;
-  /// Repacks one wheel's active arrays from values_ (membership changed).
+  /// Packs one wheel's active arrays afresh from values_ (admission and
+  /// restore; update() keeps them current after that).
   void rebuild_active(std::size_t wheel);
-  /// The single per-batch validation sweep: wheel ids in range, dirty
-  /// wheels repacked, every drawn-from wheel has a positive entry.
-  /// Returns the total draw count.
-  std::size_t prepare_batch(std::span<const DrawRequest> requests);
+  /// The single per-batch validation sweep: wheel ids in range, every
+  /// drawn-from wheel has a positive entry.  Returns the total draw count.
+  std::size_t prepare_batch(std::span<const DrawRequest> requests) const;
   void release_gauges() noexcept;
 
   /// The batched draw engine.  Chunks are packed into dense tiles: each
@@ -190,15 +191,13 @@ class WheelSet {
   std::vector<std::uint64_t> seeds_;  // per-wheel Philox keys
   std::vector<std::uint64_t> cursors_;        // per-wheel next draw id
   std::vector<std::size_t> positive_count_;   // per-wheel active item count
-  std::vector<std::uint8_t> dirty_;   // packed actives stale for this wheel
   // Packed active sets: wheel w's positive items occupy the prefix
-  // [offsets_[w], offsets_[w] + positive_count_[w]) of these arrays.  The
-  // stream ids are LOCAL item indices — exactly the (seed_w, t, i) keying a
-  // standalone kernel over wheel_values(w) uses.
+  // [offsets_[w], offsets_[w] + positive_count_[w]) of these arrays, in
+  // ascending item order.  The stream ids are LOCAL item indices — exactly
+  // the (seed_w, t, i) keying a standalone kernel over wheel_values(w) uses.
   std::vector<std::uint64_t> active_streams_;
   std::vector<double> active_f_;
   std::vector<double> active_inv_f_;
-  std::vector<std::size_t> pos_in_active_;  // slot -> active-prefix position
   std::size_t total_active_ = 0;
 
   // Batch scratch (reused across batches; sized on first draw).  The three

@@ -57,7 +57,9 @@ struct WheelSetAccess {
       w.f64(0.0);
     }
     for (std::size_t p : ws.positive_count_) w.u64(p);
-    for (std::uint8_t d : ws.dirty_) w.u8(d);
+    // The v1 layout's per-wheel dirty bytes: the packs are always current,
+    // so there is never a repack pending.
+    for (std::size_t k = 0; k < wheels; ++k) w.u8(0);
     w.u64(ws.total_active_);
     return w.take();
   }
@@ -114,11 +116,11 @@ struct WheelSetAccess {
       ws.positive_count_[k] = r.u64("positive count");
       total_active += ws.positive_count_[k];
     }
-    ws.dirty_.resize(wheels);
+    // Builds with a deferred repack stored a pending flag here; the packs
+    // are rebuilt from the values below either way, so it is checked and
+    // dropped.
     for (std::uint64_t k = 0; k < wheels; ++k) {
-      const std::uint8_t d = r.u8("dirty flag");
-      if (d > 1) r.fail("dirty flag must be 0 or 1");
-      ws.dirty_[k] = d;
+      if (r.u8("dirty flag") > 1) r.fail("dirty flag must be 0 or 1");
     }
     if (r.u64("total active") != total_active) {
       r.fail("total active count does not match the per-wheel counts");
@@ -139,19 +141,13 @@ struct WheelSetAccess {
       }
     }
 
-    // The packed active sets are a pure function of values_ — rebuild them
-    // eagerly so clean wheels (which will NOT repack before their next
-    // membership flip) serve draws from valid arrays, then put back the
-    // saved dirty flags so a deferred repack pending at save time is still
-    // pending (rebuild_active is idempotent; the extra repack at the next
-    // draw reproduces the exact arrays either way).
+    // The packed active sets are a pure function of values_: the live
+    // arena keeps them sorted by local index, which is what a fresh pack
+    // produces.
     ws.active_streams_.resize(total);
     ws.active_f_.resize(total);
     ws.active_inv_f_.resize(total);
-    ws.pos_in_active_.resize(total);
-    std::vector<std::uint8_t> saved_dirty = ws.dirty_;
     for (std::uint64_t k = 0; k < wheels; ++k) ws.rebuild_active(k);
-    ws.dirty_ = std::move(saved_dirty);
     ws.total_active_ = total_active;
     LRB_OBS_GAUGE_ADD("lrb_wheelset_wheels", wheels);
     LRB_OBS_GAUGE_ADD("lrb_wheelset_items", total);

@@ -15,18 +15,20 @@
 // One snapshot holds any subset of the sections, so a WheelSet service and
 // a distributed selection service share the same container.  Restore is
 // BIT-IDENTICAL to the live object at save time: values, per-wheel seeds
-// and cursors, shard boundaries, and the deferred-repack dirty flags —
-// continuing the draw stream from a restored object produces byte-identical
-// winners on every SIMD dispatch target (tests/persist/, the CI crash job,
-// and bench_json's restore_bit_exact_everywhere invariant all enforce this).
+// and cursors, and shard boundaries — continuing the draw stream from a
+// restored object produces byte-identical winners on every SIMD dispatch
+// target (tests/persist/, the CI crash job, and bench_json's
+// restore_bit_exact_everywhere invariant all enforce this).
 //
-// Neither object keeps a floating-point sum, so the bytes are a function of
-// that state alone: equal states encode identically, whatever their update
-// history.  The layout still has the sum words of the builds that kept
-// sums (a Kahan sum and compensation per wheel, a sum per shard).  The
-// encoder fills them from the values (compensation 0.0); the decoder checks
-// their sign against the recounted positives and drops them, so snapshots
-// that stored live sums still restore.
+// Neither object keeps a floating-point sum or a pending repack, so the
+// bytes are a function of that state alone: equal states encode
+// identically, whatever their update history.  The layout still has the sum
+// words of the builds that kept sums (a Kahan sum and compensation per
+// wheel, a sum per shard) and the per-wheel dirty byte of the builds that
+// deferred repacks.  The encoder fills the sums from the values
+// (compensation 0.0) and writes every dirty byte as 0; the decoder checks
+// the sums' sign against the recounted positives and each dirty byte
+// against {0, 1}, then drops them, so older snapshots still restore.
 //
 // Verification before construction: magic, version, per-section CRC, and
 // semantic cross-checks (monotone offsets, recounted positives, finite
@@ -88,14 +90,14 @@ class Snapshot {
   // --- typed sections -----------------------------------------------------
 
   /// Captures the full WheelSet state: arena values, offsets, per-wheel
-  /// seeds / cursors / positive counts / dirty flags, plus each wheel's sum
-  /// computed from its values (the v1 sum words).
+  /// seeds / cursors / positive counts, plus each wheel's sum computed from
+  /// its values (the v1 sum words) and a 0 in every v1 dirty byte.
   void put_wheel_set(const core::WheelSet& ws);
 
   /// Reconstructs the WheelSet.  The packed active sets are rebuilt from
-  /// the restored values (they are a pure function of them; in-place
-  /// patches and rebuilds provably agree), so the restored arena draws
-  /// bit-identically to the saved one, deferred repacks included.
+  /// the restored values (they are a pure function of them: the live arena
+  /// keeps them sorted by local index), so the restored arena draws
+  /// bit-identically to the saved one.
   [[nodiscard]] core::WheelSet wheel_set() const;
 
   /// Captures values, the boundary vector, each shard's sum computed from

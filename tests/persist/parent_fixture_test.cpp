@@ -6,9 +6,9 @@
 // make_shards() below, wrote the file, restored it and drew the winners
 // pinned here.  The file carries what today's encoder no longer writes: a
 // non-zero Kahan compensation word, and a shard-sum word that differs in its
-// last bits from the sum of the shard's values.  It also has one repack
-// pending.  Today's reader must accept those words, drop them, and draw the
-// same winners bit for bit.
+// last bits from the sum of the shard's values.  That build also deferred
+// repacks, so one wheel's dirty byte is 1.  Today's reader must accept those
+// words and that byte, drop them, and draw the same winners bit for bit.
 #include <cstdint>
 #include <span>
 #include <string>
@@ -47,7 +47,7 @@ core::WheelSet make_wheel_set() {
   const std::vector<core::WheelSet::DrawRequest> first{{0, 3}, {1, 4}, {2, 2}};
   (void)ws.draw_batch(first);
   ws.update(1, 2, 0.3);
-  ws.update(0, 3, 0.6);  // zero -> positive: the repack is pending
+  ws.update(0, 3, 0.6);  // zero -> positive: the writer's repack was pending
   return ws;
 }
 
@@ -138,9 +138,9 @@ TEST(ParentFixture, RestoresAndDrawsThePinnedWinners) {
 }
 
 TEST(ParentFixture, RestoredStateEqualsTheRebuiltState) {
-  // Values, seeds, cursors and the pending repack are all the fixture
-  // holds: re-encoding its restore gives the bytes of the same state
-  // rebuilt by today's code.
+  // Values, seeds and cursors are all the fixture holds once its old
+  // words and dirty byte are dropped: re-encoding its restore gives the
+  // bytes of the same state rebuilt by today's code.
   const Snapshot snap = Snapshot::read(kFixture);
   Snapshot restored;
   restored.put_wheel_set(snap.wheel_set());

@@ -1,5 +1,5 @@
 // Restore edge cases: the states a snapshot is most likely to catch a
-// production arena in — mid-batch cursors, deferred repacks pending,
+// production arena in — mid-batch cursors, flips with no draw after them,
 // emptied shards — and the operations most likely to disturb a restored
 // object (reshards, further updates).
 #include <bit>
@@ -46,21 +46,21 @@ TEST(RestoreEdge, MidBatchCursorsContinueExactly) {
 }
 
 TEST(RestoreEdge, PendingZeroPositiveRepackSurvives) {
-  // Flip memberships WITHOUT drawing: the repack is deferred (dirty), and
-  // the snapshot must capture that in-between state faithfully.
+  // Flip memberships WITHOUT drawing: update() shifts the packs at once,
+  // and the snapshot must capture the state the flips left.
   core::WheelSet live(11);
   (void)live.add_wheel(std::vector<double>{1.0, 0.0, 3.0, 0.0});
   (void)live.add_wheel(std::vector<double>{2.0, 2.0});
-  live.update(0, 1, 5.0);  // zero -> positive, repack pending
+  live.update(0, 1, 5.0);  // zero -> positive, no draw after it
   live.update(0, 0, 0.0);  // positive -> zero, same wheel
   live.update(1, 0, 0.0);  // second wheel goes to one survivor
 
   core::WheelSet restored = restore(live);
   EXPECT_EQ(restored.active_count(0), live.active_count(0));
   EXPECT_EQ(restored.total_active(), live.total_active());
-  // The first post-restore draw performs the deferred repack on both sides.
+  // Draws read the packs the flips left on both sides.
   EXPECT_EQ(draw_all(live, 12), draw_all(restored, 12));
-  // And the state after that repack still round-trips.
+  // And the state after those draws still round-trips.
   core::WheelSet restored_again = restore(live);
   EXPECT_EQ(draw_all(live, 5), draw_all(restored_again, 5));
 }

@@ -69,7 +69,7 @@ TEST(SnapshotWheelSet, ContinuedStreamIsBitExactOnEveryTarget) {
       const auto from_restored = draw_all(restored, 17);
       EXPECT_EQ(from_live, from_restored)
           << "target " << static_cast<int>(target) << " round " << round;
-      // Interleave updates so later rounds exercise post-restore repacks.
+      // Interleave updates so later rounds exercise post-restore patches.
       live.update(1, 2, 0.75 + round);
       restored.update(1, 2, 0.75 + round);
     }
@@ -103,6 +103,19 @@ TEST(SnapshotWheelSet, EncodingIsHistoryIndependent) {
   Snapshot b;
   b.put_wheel_set(reweighted);
   EXPECT_EQ(a.encode(), b.encode());
+
+  // A positive -> zero flip with no draw after it leaves no pending state
+  // behind: the arena encodes as if the zero had been admitted.
+  core::WheelSet admitted(5);
+  (void)admitted.add_wheel(std::vector<double>{1.0, 0.0, 2.0});
+  core::WheelSet flipped(5);
+  (void)flipped.add_wheel(std::vector<double>{1.0, 5.0, 2.0});
+  flipped.update(0, 1, 0.0);
+  Snapshot c;
+  c.put_wheel_set(admitted);
+  Snapshot d;
+  d.put_wheel_set(flipped);
+  EXPECT_EQ(c.encode(), d.encode());
 }
 
 TEST(SnapshotShardedFitness, EncodingIsHistoryIndependent) {

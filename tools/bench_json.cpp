@@ -373,8 +373,8 @@ int run_obs_overhead(const lrb::CliArgs& args) {
 // Persist section: the durability tax (src/persist).
 
 /// Builds a seasoned multi-wheel arena (phase-shifted dense fitness, a few
-/// draws and updates so cursors, positive counts, and dirty flags are all
-/// non-trivial) — the state every persist row snapshots.
+/// draws and updates so cursors, positive counts, and packed active sets
+/// are all non-trivial) — the state every persist row snapshots.
 lrb::core::WheelSet make_persist_arena(std::size_t wheels, std::size_t n) {
   lrb::core::WheelSet set(17);
   std::vector<double> f(n);
@@ -384,7 +384,7 @@ lrb::core::WheelSet make_persist_arena(std::size_t wheels, std::size_t n) {
     }
     (void)set.add_wheel(f);
   }
-  // Season: advance some cursors and leave a couple of pending repacks.
+  // Season: advance some cursors, flip one item to zero, re-weight one.
   std::vector<lrb::core::WheelSet::DrawRequest> warm;
   for (std::size_t w = 0; w < wheels; w += 1 + wheels / 16) {
     warm.push_back({w, 2});

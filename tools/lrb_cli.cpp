@@ -189,6 +189,15 @@ int cmd_race(const lrb::CliArgs& args, const std::vector<double>& weights) {
 
 int cmd_dist(const lrb::CliArgs& args, const std::vector<double>& weights) {
   const std::size_t ranks = args.get_u64("ranks", 4);
+  // The largest P the parity suites and bench_json cover.  Checked before
+  // any schedule or shard is built: with P = 1e8 a two-weight run did not
+  // finish in 10 s.
+  constexpr std::size_t kMaxRanks = 1024;
+  if (ranks > kMaxRanks) {
+    std::fprintf(stderr, "lrb: dist needs --ranks <= %zu (got --ranks=%zu)\n",
+                 kMaxRanks, ranks);
+    return 2;
+  }
   const std::uint64_t draws = args.get_u64("draws", 10);
   std::size_t batch = args.get_u64("batch", 1);
   if (batch == 0) batch = 1;
@@ -479,8 +488,8 @@ void usage() {
   std::fprintf(stderr,
                "usage: lrb <select|sample|shuffle|validate|race|dist|wheelset|"
                "record|resume|replay|list> [options] [weights... | -]\n"
-               "dist flags: --ranks --draws --batch --seed --fault-seed=<u64> "
-               "--fault-spec=<spec>\n"
+               "dist flags: --ranks=<1..1024> --draws --batch --seed "
+               "--fault-seed=<u64> --fault-spec=<spec>\n"
                "wheelset flags: --wheels=<K> --draws=<per wheel> --seed\n"
                "record flags: --dir=<D> --draws --wheels --seed "
                "--flush=every|batch|off --checkpoint-every --throttle-us\n"
