@@ -98,8 +98,8 @@ class KahanSum {
 /// Every selector in src/core funnels through this, so the error surface is
 /// uniform: a user passing NaN gets the same exception from every algorithm,
 /// naming the offending index AND value — validation is hoisted to once per
-/// batch everywhere (DrawManyKernel, DeterministicDrawKernel, ShardedFitness),
-/// so carrying the context is cheap.
+/// batch everywhere (DeterministicDrawKernel, ShardedFitness), so carrying
+/// the context is cheap.
 [[nodiscard]] inline double checked_fitness_total(std::span<const double> fitness,
                                                   bool require_positive_total = true) {
   LRB_REQUIRE(!fitness.empty(), InvalidFitnessError,

@@ -1,7 +1,7 @@
 // Batched selection: m independent draws (with replacement) from one
 // fitness vector, with the strategy chosen by batch size.
 //
-//   m small : one DrawManyKernel build + m O(k) filtered bidding passes
+//   m small : one draw_many() — one kernel build + m O(k) filtered passes
 //   m large : one alias-table build + m O(1) draws — O(n + m)
 //
 // batch_select() picks the strategy from the measured crossover (bidding
@@ -28,7 +28,7 @@ namespace lrb::core {
 /// Strategy for a batch of draws.
 enum class BatchStrategy {
   kAuto,     ///< pick by crossover heuristic
-  kBidding,  ///< one DrawManyKernel, m filtered bidding passes
+  kBidding,  ///< one draw_many() kernel, m filtered bidding passes
   kAlias,    ///< build alias table once, then m O(1) draws
 };
 
@@ -102,8 +102,7 @@ std::vector<std::size_t> batch_select(std::span<const double> fitness,
   LRB_TRACE_SPAN_ARG("batch_select", m);
   if (strategy == BatchStrategy::kBidding) {
     LRB_OBS_COUNTER_ADD("lrb_core_batch_bidding_total", 1);
-    DrawManyKernel kernel(fitness);  // validates once for the whole batch
-    kernel.draw_into(m, gen, out);
+    out = draw_many(fitness, m, gen);  // validates once for the whole batch
   } else {
     LRB_OBS_COUNTER_ADD("lrb_core_batch_alias_total", 1);
     (void)checked_fitness_total(fitness);

@@ -1,12 +1,13 @@
 // The record-breaking bid filter shared by the batched selection kernels.
 //
-// Both multi-draw kernels (DrawManyKernel in draw_many.hpp, stream uniforms;
-// DeterministicDrawKernel in deterministic.hpp, counter-based uniforms) skip
-// almost every std::log with the same bound: since log(u) <= u - 1 and
-// 1/f > 0, an item's bid log(u)/f is bounded above by (u - 1) * (1/f) — one
-// FMA — and the running maximum of an exponential race is beaten only
-// O(log k) expected times per draw.  The filter is exact only because of two
-// numerical guards, and THIS header is their single proof site:
+// Both draw engines (DeterministicDrawKernel in deterministic.hpp, one
+// wheel with stream or counter-based bits; WheelSet in wheel_set.hpp, many
+// wheels tiled together) skip almost every std::log with the same bound:
+// since log(u) <= u - 1 and 1/f > 0, an item's bid log(u)/f is bounded above
+// by (u - 1) * (1/f) — one FMA — and the running maximum of an exponential
+// race is beaten only O(log k) expected times per draw.  The filter is
+// exact only because of two numerical guards, and THIS header is their
+// single proof site:
 //
 //   * the gate is slackened by a relative margin (kGateRelax) that strictly
 //     dominates the O(ulp) rounding of the FMA bound, so a skipped item's
@@ -19,11 +20,11 @@
 //     filter exact.
 //
 // Keeping the constant and both guards here means a future retuning cannot
-// silently leave the two kernels with different skip criteria.  The carried
+// silently leave the two engines with different skip criteria.  The carried
 // scan state itself (RecordScan below) lives here for the same reason: the
-// stream kernel, the deterministic kernel, and the WheelSet arena all run
-// the identical filtered argmax, possibly split across several calls when a
-// wheel straddles a tile boundary — one definition, one tie rule.
+// single-wheel kernel and the WheelSet arena run the identical filtered
+// argmax, possibly split across several calls when a wheel straddles a tile
+// boundary — one definition, one tie rule.
 #pragma once
 
 #include <cmath>

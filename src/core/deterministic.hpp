@@ -10,6 +10,10 @@
 //
 // Cost: one Philox4x32-10 evaluation per positive-fitness item per draw
 // (~2x the throughput cost of the xoshiro path; measured in A3/A4 benches).
+//
+// DeterministicDrawKernel, below, is the batched single-wheel kernel of both
+// contracts: one pack and one block loop serve the keyed draws and the
+// stream (engine-word) draws of core/draw_many.hpp and lrb::dist.
 #pragma once
 
 #include <algorithm>
@@ -100,39 +104,44 @@ class DeterministicBidder {
   std::uint64_t draw_ = 0;
 };
 
-/// The deterministic twin of DrawManyKernel (core/draw_many.hpp): a filtered
-/// multi-draw pass over one fitness block with counter-based bids.
+/// The single-wheel filtered bid kernel, for both contracts: one packed
+/// active set and one block loop, fed by either bit stage.
 ///
-/// Construction hoists everything loop-invariant out of the draws exactly as
-/// the stream kernel does — validation once per batch, positive-fitness
-/// indices packed into an active set (a draw touches k items with no
-/// zero-test branch), reciprocals 1/f cached for the bound pass.  Each draw
-/// must still pay one Philox block per active item (the bid is DEFINED as a
-/// function of (seed, t, i), so no evaluation can be skipped), but the
-/// blocks are generated N lanes at a time by the runtime-dispatched SIMD
-/// Philox kernel over the item streams (simd/dispatch.hpp — this is where
-/// the counter-based design pays off: every lane is independent by
-/// construction), and the record-breaking filter log(u) <= u - 1 skips
-/// almost every std::log: the running maximum is beaten only O(log k)
-/// expected times per draw, and the shared numerical guards
-/// (core/bid_filter.hpp) guarantee the filter can skip work but never
-/// change a winner, so the result is bit-identical to the unfiltered scan
-/// DeterministicBidder performs — on every dispatch target (tested in
-/// tests/core/deterministic_test.cpp and tests/simd/).
+/// Construction hoists everything loop-invariant out of the draws —
+/// validation once, positive-fitness indices packed into an active set (a
+/// draw touches k items with no zero-test branch), reciprocals 1/f cached
+/// for the bound pass.  A draw then runs the paper's one race a block at a
+/// time: raw bits, the exact bits -> (0,1] conversion and the bound
+/// (u - 1) * (1/f) on the runtime-dispatched SIMD engine (simd/dispatch.hpp),
+/// then the record-breaking filter of core/bid_filter.hpp, which pays
+/// std::log only for the O(log k) expected bound survivors and can skip work
+/// but never change a winner.  The two contracts differ only in where the
+/// bits come from:
+///
+///   * keyed, draw_scored(seed, t): Philox blocks keyed (seed, t, global
+///     item), generated N lanes at a time.  A pure function of (seed, t,
+///     values), bit-identical to the unfiltered scan DeterministicBidder
+///     performs for any lane or rank count (tests/core/deterministic_test.cpp);
+///   * stream, draw_scored(gen): exactly active_count() engine words per
+///     draw in index order, so a loop of draws equals a loop of
+///     select_bidding() calls index for index and leaves the engine in the
+///     same state (tests/core/draw_many_test.cpp).
 ///
 /// `index_base` shifts the item ids: a kernel over a shard [base, base + len)
 /// bids with the GLOBAL Philox stream (seed, t, base + j) and reports global
 /// indices, which is precisely what makes dist::distributed_bidding_
 /// deterministic partition-invariant — the bid of global item i is the same
-/// no matter which rank owns it.  draw_scored() is const and allocation-free,
-/// so one kernel serves any number of threads.
+/// no matter which rank owns it.  The draws are const and allocation-free,
+/// so one kernel serves any number of threads (the keyed draw advances no
+/// state; the stream draw advances only the caller's engine).
 ///
-/// A kernel is built per call (core/batch.cpp) or kept: dist::ShardedFitness
-/// owns one per shard and patches it through set() on every point update, so
-/// a batch of deterministic draws reads a pack that is already there instead
-/// of re-packing the shard.  set() keeps the active set in ascending index
-/// order — the scan order, and with it the first-maximum tie rule and every
-/// winner, is exactly what a fresh build over the patched block would have.
+/// A kernel is built per call (core/batch.cpp, core/draw_many.hpp) or kept:
+/// dist::ShardedFitness owns one per shard and patches it through set() on
+/// every point update, so a distributed batch of either contract reads a
+/// pack that is already there instead of re-packing the shard.  set() keeps
+/// the active set in ascending index order — the scan order, and with it the
+/// first-maximum tie rule and every winner, is exactly what a fresh build
+/// over the patched block would have.
 class DeterministicDrawKernel {
  public:
   /// Winner of one draw with its actual bid — what a distributed rank ships
@@ -201,40 +210,19 @@ class DeterministicDrawKernel {
     }
   }
 
-  /// Winner of draw `t`: argmax over the active set of the counter-based
-  /// bids rng::deterministic_bid(seed, t, global index, f).  Pure function
-  /// of (seed, t, fitness block) — thread-safe, no state advanced; the
-  /// per-block scratch lives on the stack so one kernel serves any number
-  /// of threads.  The SIMD stages are bit-exact on every dispatch target
-  /// (simd/dispatch.hpp), so the winner cannot depend on lane width.
+  /// Keyed draw `t`: argmax over the active set of the counter-based bids
+  /// rng::deterministic_bid(seed, t, global index, f).  Pure function of
+  /// (seed, t, fitness block) — thread-safe, no state advanced.
   [[nodiscard]] Scored draw_scored(std::uint64_t seed, std::uint64_t t) const {
-    const std::size_t k = f_.size();
     const simd::Ops& ops = simd::ops();
-    alignas(64) std::uint64_t bits[kBlock];
-    alignas(64) double u[kBlock];
-    alignas(64) double ub[kBlock];
-    bid_filter::RecordScan race;
-    for (std::size_t start = 0; start < k; start += kBlock) {
-      const std::size_t len = std::min(kBlock, k - start);
-      // The whole bid stream of this block, N lanes at a time: Philox
-      // blocks keyed (seed, t, global item), then the exact bits -> (0,1]
-      // conversion — identical doubles to rng::deterministic_uniform.
-      ops.philox_bits_streams(seed, t, active_.data() + start, bits, len);
-      ops.fill_u01_from_bits(bits, u, len);
-      // Vectorized bound pass: bid <= (u - 1) * (1/f) because
-      // log(u) <= u - 1 and 1/f > 0; one sub+mul+max per item decides
-      // whether the std::log is worth paying.
-      const double block_max =
-          ops.bound_pass(u, inv_f_.data() + start, ub, len);
-      if (race.skip_chunk(block_max)) continue;
-      // The shared filtered argmax (core/bid_filter.hpp): exact log(u)/f
-      // bids for the rare bound survivors, first-maximum-wins tie rule.
-      race.scan(u, ub, f_.data() + start, start, len);
-    }
-    LRB_ASSERT(race.found, "positive total fitness implies at least one bid");
+    const bid_filter::RecordScan race = race_blocks(
+        [&](std::size_t start, std::uint64_t* bits, std::size_t len) {
+          ops.philox_bits_streams(seed, t, active_.data() + start, bits, len);
+        });
     LRB_OBS_COUNTER_ADD("lrb_core_det_draws_total", 1);
     LRB_OBS_COUNTER_ADD("lrb_core_det_log_evals_total", race.log_evals);
-    LRB_OBS_COUNTER_ADD("lrb_core_det_filter_skips_total", k - race.log_evals);
+    LRB_OBS_COUNTER_ADD("lrb_core_det_filter_skips_total",
+                        active_count() - race.log_evals);
     return Scored{race.best, active_[race.best_pos]};
   }
 
@@ -243,10 +231,58 @@ class DeterministicDrawKernel {
     return static_cast<std::size_t>(draw_scored(seed, t).index);
   }
 
+  /// Stream draw: one engine word per active item, in index order, through
+  /// rng::fill_bits (SIMD counter-range Philox for rng::PhiloxRng) — the
+  /// same uniforms, bids and winner as one select_bidding() call.
+  template <rng::Engine64 G>
+  [[nodiscard]] Scored draw_scored(G&& gen) const {
+    const bid_filter::RecordScan race =
+        race_blocks([&](std::size_t, std::uint64_t* bits, std::size_t len) {
+          rng::fill_bits(gen, std::span<std::uint64_t>(bits, len));
+        });
+    LRB_OBS_COUNTER_ADD("lrb_core_draws_total", 1);
+    LRB_OBS_COUNTER_ADD("lrb_core_log_evals_total", race.log_evals);
+    LRB_OBS_COUNTER_ADD("lrb_core_filter_skips_total",
+                        active_count() - race.log_evals);
+    return Scored{race.best, active_[race.best_pos]};
+  }
+
+  template <rng::Engine64 G>
+  [[nodiscard]] std::size_t draw_one(G&& gen) const {
+    return static_cast<std::size_t>(draw_scored(gen).index);
+  }
+
  private:
   /// Per-draw scratch granularity: three stack blocks (bits, u, ub) of 2 KiB
-  /// each, resident in L1 — draw_scored stays const and allocation-free.
+  /// each, resident in L1 — the draws stay const and allocation-free.
   static constexpr std::size_t kBlock = 256;
+
+  /// The one block loop of both contracts.  `fill(start, bits, len)` writes
+  /// the raw bits of active slots [start, start + len); everything after it
+  /// is shared.
+  template <typename FillBits>
+  [[nodiscard]] bid_filter::RecordScan race_blocks(FillBits&& fill) const {
+    const std::size_t k = f_.size();
+    const simd::Ops& ops = simd::ops();
+    alignas(64) std::uint64_t bits[kBlock];
+    alignas(64) double u[kBlock];
+    alignas(64) double ub[kBlock];
+    bid_filter::RecordScan race;
+    for (std::size_t start = 0; start < k; start += kBlock) {
+      const std::size_t len = std::min(kBlock, k - start);
+      fill(start, bits, len);
+      ops.fill_u01_from_bits(bits, u, len);
+      // bid <= (u - 1) * (1/f) because log(u) <= u - 1 and 1/f > 0; one
+      // sub+mul+max per item decides whether the std::log is worth paying.
+      const double block_max =
+          ops.bound_pass(u, inv_f_.data() + start, ub, len);
+      if (race.skip_chunk(block_max)) continue;
+      // Exact log(u)/f bids for the rare bound survivors, first-maximum-wins.
+      race.scan(u, ub, f_.data() + start, start, len);
+    }
+    LRB_ASSERT(race.found, "positive total fitness implies at least one bid");
+    return race;
+  }
 
   /// The one packing loop of both constructors: exactly `positive_count`
   /// slots, in ascending index order.
@@ -262,10 +298,11 @@ class DeterministicDrawKernel {
     }
     LRB_ASSERT(active_.size() == positive_count,
                "positive count must match the block");
-    LRB_OBS_COUNTER_ADD("lrb_core_det_kernel_builds_total", 1);
-    LRB_OBS_COUNTER_ADD("lrb_core_det_kernel_items_total", size_);
-    LRB_OBS_COUNTER_ADD("lrb_core_det_kernel_active_items_total",
-                        active_.size());
+    // Active-set density: items_total vs active_items_total gives the mean
+    // density of the wheels this process actually built.
+    LRB_OBS_COUNTER_ADD("lrb_core_kernel_builds_total", 1);
+    LRB_OBS_COUNTER_ADD("lrb_core_kernel_items_total", size_);
+    LRB_OBS_COUNTER_ADD("lrb_core_kernel_active_items_total", active_.size());
   }
 
   std::uint64_t index_base_ = 0;

@@ -3,159 +3,44 @@
 // GA/ACO generations draw a whole population (m = hundreds..thousands) from
 // one fitness vector, and a loop of select_bidding() calls pays, per draw,
 // a full O(n) validation pass, a zero-skip branch per item, one std::log
-// and one divide per positive item.  DrawManyKernel hoists everything that
-// is loop-invariant out of the m draws:
+// and one divide per positive item.  draw_many() builds one
+// DeterministicDrawKernel (core/deterministic.hpp) instead — validation
+// once per batch, the positive items packed into an active set with cached
+// reciprocals — and runs the m draws through its stream bit stage: engine
+// words a block at a time (rng::fill_bits), the SIMD bits -> (0,1] and
+// bound passes, and the record-breaking filter that skips almost every
+// std::log (core/bid_filter.hpp, the shared proof site).  The filter can
+// skip work but never change a winner, so the produced indices and the
+// engine state match a loop of select_bidding() calls exactly (same
+// uniforms, in the same order, same log(u)/f bid arithmetic, same
+// first-maximum-wins tie rule).
 //
-//   * validation runs once per batch (not once per draw);
-//   * the positive-fitness indices are packed into an active set once, so
-//     the per-draw loop touches exactly k items with no zero-test branch;
-//   * reciprocals 1/f_i are cached, so the filter below is one FMA per item;
-//   * raw bits are filled a block at a time (rng::fill_bits — engine-order
-//     serial for stream engines, SIMD counter-range Philox for PhiloxRng),
-//     the bits -> (0,1] conversion and the bound pass below run through the
-//     runtime-dispatched vector kernels (simd/dispatch.hpp), and all scratch
-//     is reused across the whole batch — zero per-draw allocation.
-//
-// The kernel's actual speedup comes from a record-breaking filter: since
-// log(u) <= u - 1, every item's bid log(u_i)/f_i is bounded above by
-// (u_i - 1) * (1/f_i) — one FMA, no log.  The running maximum of m
-// exponential-race bids is beaten only O(log k) expected times per draw, so
-// almost every item fails the cheap bound test and the expensive log runs
-// only for the rare candidates that might actually win.  The filter is
-// slackened by a relative margin (core/bid_filter.hpp, the shared proof
-// site) that strictly dominates the rounding error of the FMA bound, so it
-// never discards a true winner:
-// the produced indices and the engine state match a loop of
-// select_bidding() calls exactly (same uniforms, in the same order, same
-// log(u)/f bid arithmetic, same first-maximum-wins tie rule).
-//
-// batch_select() (core/batch.hpp) routes its bidding strategy through this
-// kernel; lrb::dist packs per-shard draw_scored() winners into batched
-// allreduces (dist/selection.cpp).
+// batch_select() (core/batch.hpp) routes its bidding strategy through
+// draw_many(); lrb::dist runs the same kernel's stream draws over the
+// per-shard kernels ShardedFitness keeps (dist/selection.cpp).
 #pragma once
 
-#include <cmath>
-#include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
-#include "common/error.hpp"
-#include "common/math.hpp"
-#include "core/bid_filter.hpp"
+#include "core/deterministic.hpp"
 #include "obs/obs.hpp"
 #include "rng/uniform.hpp"
-#include "simd/dispatch.hpp"
 
 namespace lrb::core {
 
-class DrawManyKernel {
- public:
-  /// Winner of one draw with its actual bid — what a distributed rank ships
-  /// into an argmax-allreduce.
-  struct Scored {
-    double bid = -std::numeric_limits<double>::infinity();
-    std::size_t index = 0;
-  };
-
-  /// Validates once (same error surface as every selector: finite,
-  /// non-negative, positive total) and packs the active set + reciprocals.
-  /// O(n); every subsequent draw is O(k) with k = active_count().
-  explicit DrawManyKernel(std::span<const double> fitness) {
-    (void)checked_fitness_total(fitness);
-    active_.reserve(fitness.size());
-    for (std::size_t i = 0; i < fitness.size(); ++i) {
-      if (fitness[i] > 0.0) active_.push_back(i);
-    }
-    f_.reserve(active_.size());
-    inv_f_.reserve(active_.size());
-    for (std::size_t i : active_) {
-      f_.push_back(fitness[i]);
-      inv_f_.push_back(bid_filter::bound_reciprocal(fitness[i]));
-    }
-    size_ = fitness.size();
-    bits_.resize(kBlock);
-    u_.resize(kBlock);
-    ub_.resize(kBlock);
-    // Active-set density: items_total vs active_items_total gives the mean
-    // density of the wheels this process actually built.
-    LRB_OBS_COUNTER_ADD("lrb_core_kernel_builds_total", 1);
-    LRB_OBS_COUNTER_ADD("lrb_core_kernel_items_total", size_);
-    LRB_OBS_COUNTER_ADD("lrb_core_kernel_active_items_total", active_.size());
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  /// Number of positive-fitness items ("k" in the paper's Theorem 1).
-  [[nodiscard]] std::size_t active_count() const noexcept { return active_.size(); }
-
-  /// One draw; consumes exactly active_count() engine steps.
-  template <rng::Engine64 G>
-  [[nodiscard]] std::size_t draw_one(G&& gen) {
-    return draw_scored(gen).index;
-  }
-
-  /// One draw reporting the winning bid (for distributed sub-races).
-  template <rng::Engine64 G>
-  [[nodiscard]] Scored draw_scored(G&& gen) {
-    const std::size_t k = f_.size();
-    const simd::Ops& ops = simd::ops();
-    bid_filter::RecordScan race;
-    for (std::size_t start = 0; start < k; start += kBlock) {
-      const std::size_t len = std::min(kBlock, k - start);
-      // Engine bits in element order (exactly len draws consumed), then the
-      // exact bits -> (0,1] conversion on the SIMD engine: same doubles as a
-      // loop of u01_open_closed() calls, any lane width.
-      rng::fill_bits(gen, std::span<std::uint64_t>(bits_.data(), len));
-      ops.fill_u01_from_bits(bits_.data(), u_.data(), len);
-      // Vectorized bound pass: bid <= (u - 1) * (1/f) because
-      // log(u) <= u - 1 and 1/f > 0.  One sub+mul+max per item, bit-equal
-      // to the scalar loop on every dispatch target (simd/dispatch.hpp).
-      const double block_max =
-          ops.bound_pass(u_.data(), inv_f_.data() + start, ub_.data(), len);
-      if (race.skip_chunk(block_max)) continue;
-      // The shared filtered argmax (core/bid_filter.hpp): exact log(u)/f
-      // bids for the rare bound survivors, first-maximum-wins tie rule.
-      race.scan(u_.data(), ub_.data(), f_.data() + start, start, len);
-    }
-    LRB_ASSERT(race.found, "positive total fitness implies at least one bid");
-    LRB_OBS_COUNTER_ADD("lrb_core_draws_total", 1);
-    LRB_OBS_COUNTER_ADD("lrb_core_log_evals_total", race.log_evals);
-    LRB_OBS_COUNTER_ADD("lrb_core_filter_skips_total", k - race.log_evals);
-    return Scored{race.best, active_[race.best_pos]};
-  }
-
-  /// Appends m draws to `out`; consumes exactly m * active_count() engine
-  /// steps — the same bill as m select_bidding() calls.
-  template <rng::Engine64 G>
-  void draw_into(std::size_t m, G&& gen, std::vector<std::size_t>& out) {
-    LRB_TRACE_SPAN_ARG("draw_many", m);
-    LRB_OBS_HISTOGRAM_RECORD("lrb_core_batch_size", m);
-    out.reserve(out.size() + m);
-    for (std::size_t t = 0; t < m; ++t) out.push_back(draw_one(gen));
-  }
-
- private:
-  /// Uniform/bound scratch granularity: 2 x 2 KiB, resident in L1.
-  static constexpr std::size_t kBlock = 256;
-
-  std::size_t size_ = 0;
-  std::vector<std::size_t> active_;    // original indices of positive items
-  std::vector<double> f_;              // fitness, packed over the active set
-  std::vector<double> inv_f_;          // cached reciprocals for the bound
-  std::vector<std::uint64_t> bits_;    // per-block raw engine words (scratch)
-  std::vector<double> u_;              // per-block uniforms (scratch)
-  std::vector<double> ub_;             // per-block bid upper bounds (scratch)
-};
-
 /// m batched draws with replacement; exact roulette marginals, and the
 /// returned indices (plus the engine state afterwards) match m consecutive
-/// select_bidding() calls.
+/// select_bidding() calls — exactly m * k engine steps.
 template <rng::Engine64 G>
 [[nodiscard]] std::vector<std::size_t> draw_many(std::span<const double> fitness,
                                                  std::size_t m, G&& gen) {
-  DrawManyKernel kernel(fitness);
+  const DeterministicDrawKernel kernel(fitness);
+  LRB_TRACE_SPAN_ARG("draw_many", m);
+  LRB_OBS_HISTOGRAM_RECORD("lrb_core_batch_size", m);
   std::vector<std::size_t> out;
-  kernel.draw_into(m, gen, out);
+  out.reserve(m);
+  for (std::size_t t = 0; t < m; ++t) out.push_back(kernel.draw_one(gen));
   return out;
 }
 

@@ -185,8 +185,8 @@ void WheelSet::update(std::size_t wheel, std::size_t item, double fitness) {
   LRB_OBS_COUNTER_ADD("lrb_wheelset_updates_total", 1);
 }
 
-std::size_t WheelSet::prepare_batch(
-    std::span<const DrawRequest> requests) const {
+std::size_t WheelSet::prepare_batch(std::span<const DrawRequest> requests,
+                                    std::size_t room) const {
   std::size_t total_draws = 0;
   for (const DrawRequest& r : requests) {
     check_wheel(r.wheel, "draw_batch");
@@ -194,6 +194,10 @@ std::size_t WheelSet::prepare_batch(
     LRB_REQUIRE(positive_count_[r.wheel] > 0, InvalidFitnessError,
                 "draw_batch: " + wheel_str(r.wheel) +
                     " has no positive fitness");
+    LRB_REQUIRE(r.draws <= room - total_draws, InvalidArgumentError,
+                "draw_batch: the requests' draws sum past " +
+                    std::to_string(room) + " (" + std::to_string(total_draws) +
+                    " + " + std::to_string(r.draws) + ")");
     total_draws += r.draws;
   }
   return total_draws;
@@ -306,7 +310,8 @@ void WheelSet::draw_batch_into(std::span<const DrawRequest> requests,
   // Chunks enqueue (seed_w, t, local item) key triples and each tile
   // derives its bits in ONE philox_bits_keyed sweep — identical bits to a
   // standalone DeterministicDrawKernel over every wheel.
-  run_batch(requests, prepare_batch(requests), out);
+  run_batch(requests, prepare_batch(requests, out.max_size() - out.size()),
+            out);
 }
 
 std::vector<std::size_t> WheelSet::draw_batch(

@@ -169,8 +169,11 @@ class WheelSet {
   /// restore; update() keeps them current after that).
   void rebuild_active(std::size_t wheel);
   /// The single per-batch validation sweep: wheel ids in range, every
-  /// drawn-from wheel has a positive entry.  Returns the total draw count.
-  std::size_t prepare_batch(std::span<const DrawRequest> requests) const;
+  /// drawn-from wheel has a positive entry, and the draws sum to at most
+  /// `room` (the output's free capacity) without wrapping.  Returns the
+  /// total draw count; nothing has moved when it throws.
+  std::size_t prepare_batch(std::span<const DrawRequest> requests,
+                            std::size_t room) const;
   void release_gauges() noexcept;
 
   /// The batched draw engine.  Chunks are packed into dense tiles: each

@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "core/deterministic.hpp"
 #include "dist/backend.hpp"
-#include "core/draw_many.hpp"
 #include "obs/obs.hpp"
 #include "rng/uniform.hpp"
 #include "rng/xoshiro256.hpp"
@@ -35,10 +34,11 @@ void require_positive_total(const ShardedFitness& shards) {
 
 /// The scaffolding both bidding batches share — validation, the p x B local
 /// sub-race matrix (ranks with nothing positive ship kNoBid pairs), ONE
-/// batched argmax-allreduce, winner extraction.  `fill_rank(r, rows)` fills
-/// rank r's B (bid, global index) pairs; the bid SOURCE (stream engine vs
-/// counter-based kernel) is the only thing the two paths do differently,
-/// which is also why their ledgers are identical by construction.
+/// batched argmax-allreduce, winner extraction.  `fill_rank(r, kernel, rows)`
+/// fills rank r's B (bid, global index) pairs from `kernel`, the one
+/// ShardedFitness keeps for r; the bit stage it runs (engine words vs keyed
+/// Philox) is the only thing the two paths do differently, which is also why
+/// their ledgers are identical by construction.
 template <typename FillRank>
 BatchDrawResult bidding_batch_scaffold(const ShardedFitness& shards,
                                        std::size_t batch, const char* name,
@@ -61,7 +61,7 @@ BatchDrawResult bidding_batch_scaffold(const ShardedFitness& shards,
   for (std::size_t r = 0; r < p; ++r) {
     if (!backend.owns_rank(r)) continue;
     if (shards.positive_count(r) == 0) continue;
-    fill_rank(r, local[r]);
+    fill_rank(r, shards.shard_kernel(r), local[r]);
   }
 
   // The entire communication bill: ONE batched argmax-allreduce of B-pair
@@ -101,20 +101,17 @@ DrawResult distributed_bidding(const ShardedFitness& shards,
 BatchDrawResult distributed_bidding_batch(const ShardedFitness& shards,
                                           std::size_t batch,
                                           const rng::SeedSequence& seeds) {
-  // B local sub-races on every rank: one DrawManyKernel per shard (active
-  // set + reciprocals built once, validation hoisted out of the B draws),
-  // decorrelated engine per rank, exactly B uniforms consumed per positive
-  // local entry.
+  // B local sub-races on every rank over the kernel ShardedFitness keeps for
+  // its shard (nothing is packed here), decorrelated engine per rank,
+  // exactly B uniforms consumed per positive local entry.
   return bidding_batch_scaffold(
       shards, batch, "distributed_bidding_batch",
-      [&](std::size_t r, std::vector<ArgMax>& rows) {
+      [&](std::size_t r, const core::DeterministicDrawKernel& kernel,
+          std::vector<ArgMax>& rows) {
         rng::Xoshiro256StarStar gen(seeds.child(r));
-        const parallel::Range range = shards.shard_range(r);
-        core::DrawManyKernel kernel(shards.shard(r));
-        for (std::size_t t = 0; t < rows.size(); ++t) {
-          const core::DrawManyKernel::Scored won = kernel.draw_scored(gen);
-          rows[t] = ArgMax{won.bid,
-                           static_cast<std::uint64_t>(range.begin + won.index)};
+        for (ArgMax& row : rows) {
+          const auto won = kernel.draw_scored(gen);
+          row = ArgMax{won.bid, won.index};
         }
       });
 }
@@ -147,8 +144,8 @@ BatchDrawResult distributed_bidding_deterministic_batch(
   // ShardedFitness keeps patched across updates — nothing is packed here.
   return bidding_batch_scaffold(
       shards, batch, "distributed_bidding_deterministic_batch",
-      [&](std::size_t r, std::vector<ArgMax>& rows) {
-        const core::DeterministicDrawKernel& kernel = shards.shard_kernel(r);
+      [&](std::size_t, const core::DeterministicDrawKernel& kernel,
+          std::vector<ArgMax>& rows) {
         for (std::size_t t = 0; t < rows.size(); ++t) {
           const core::DeterministicDrawKernel::Scored won =
               kernel.draw_scored(seed, first_draw_id + t);

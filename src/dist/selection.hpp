@@ -70,10 +70,10 @@ struct BatchDrawResult {
 
 /// B batched bidding draws (B >= 1), with replacement, amortizing the
 /// allreduce round latency: every rank runs B local sub-races over its
-/// shard (one core::DrawManyKernel, B filtered O(k_r) passes, consuming
-/// exactly B uniforms per positive local entry from engine seeds.child(r)),
-/// then all B (bid, index) winners ride ONE allreduce_argmax_batch of
-/// 2B-word messages.
+/// shard (B filtered O(k_r) stream draws of the core::DeterministicDrawKernel
+/// ShardedFitness keeps for it, consuming exactly B uniforms per positive
+/// local entry from engine seeds.child(r)), then all B (bid, index) winners
+/// ride ONE allreduce_argmax_batch of 2B-word messages.
 ///
 /// Joint distribution: the B draws are independent, each exactly
 /// F_i-distributed (chi-square-validated in tests/dist/).  With batch == 1
@@ -91,15 +91,15 @@ struct BatchDrawResult {
 /// seeds.child(r), so the same master seed selects different individuals at
 /// P = 4 vs P = 8.  Here instead every rank computes the pure-function bids
 /// rng::deterministic_bid(seed, draw_id, global index, f) over its own shard
-/// (the core::DeterministicDrawKernel ShardedFitness keeps for that shard,
-/// filtered exactly like the stream hot path, never re-packed per batch) and
-/// the usual argmax-allreduce crowns the winner — so the selected
+/// (the core::DeterministicDrawKernel ShardedFitness keeps for that shard —
+/// the same pack and block loop the stream batch runs, never re-packed per
+/// batch) and the usual argmax-allreduce crowns the winner — so the selected
 /// index is a function of (seed, draw_id, fitness) alone: bit-identical to
 /// serial core::DeterministicBidder at every rank count and every shard
 /// partition, for the SAME communication bill as distributed_bidding
 /// (identical collective, identical ledger).  Cost: one Philox4x32-10 block
-/// per positive item per draw — ~2.5-4x the filtered xoshiro stream kernel
-/// (the `deterministic` column of BENCH_selection.json).
+/// per positive item per draw — ~2.5-4x the kernel's filtered xoshiro stream
+/// draws (the `deterministic` column of BENCH_selection.json).
 ///
 /// `draw_id` is the absolute position in the deterministic draw stream —
 /// pass t to reproduce exactly what DeterministicBidder(seed) returns for

@@ -14,15 +14,15 @@
 // values and the boundaries, whatever order the updates came in.
 //
 // Each rank also keeps the packed active set of its shard — a
-// core::DeterministicDrawKernel — which the deterministic bidding batch reads
-// as is, so a batch never re-packs a shard.  A point update overwrites the
-// cell, adjusts the owning shard's positive count and patches that rank's
-// kernel: O(log k_shard) for a re-weight, plus an O(k_shard) move when the
-// entry flips between zero and positive.  That is the distributed echo of the
-// paper's core selling point — logarithmic bidding needs no prebuilt global
-// structure, so a fitness update touches one rank and nothing else (contrast
-// a distributed Fenwick tree or alias table, which must rebuild or ship
-// O(log n) updates).
+// core::DeterministicDrawKernel — which both bidding batches (stream and
+// deterministic) read as is, so a batch never re-packs a shard.  A point
+// update overwrites the cell, adjusts the owning shard's positive count and
+// patches that rank's kernel: O(log k_shard) for a re-weight, plus an
+// O(k_shard) move when the entry flips between zero and positive.  That is
+// the distributed echo of the paper's core selling point — logarithmic
+// bidding needs no prebuilt global structure, so a fitness update touches one
+// rank and nothing else (contrast a distributed Fenwick tree or alias table,
+// which must rebuild or ship O(log n) updates).
 //
 // Elasticity: the partition is stored as P+1 shard boundaries, so it can be
 // REPLACED mid-stream — reshard(P') repartitions over a different rank count
@@ -91,11 +91,11 @@ class ShardedFitness {
   /// updates.  The exact "has something to draw" test.
   [[nodiscard]] std::size_t positive_count(std::size_t rank) const;
 
-  /// The kept deterministic kernel of `rank`'s shard (global indices, current
-  /// values), ready to draw whenever positive_count(rank) > 0.  Only ranks
-  /// this process embodies have one (CommBackend::owns_rank) — a real-backend
-  /// process packs its own shard only, so its cost stays O(n/P); asking for
-  /// another rank's kernel throws InvalidArgumentError.
+  /// The kept kernel of `rank`'s shard (global indices, current values),
+  /// ready for stream or keyed draws whenever positive_count(rank) > 0.  Only
+  /// ranks this process embodies have one (CommBackend::owns_rank) — a
+  /// real-backend process packs its own shard only, so its cost stays O(n/P);
+  /// asking for another rank's kernel throws InvalidArgumentError.
   [[nodiscard]] const core::DeterministicDrawKernel& shard_kernel(
       std::size_t rank) const;
 

@@ -57,8 +57,8 @@ template <Engine64 G>
 
 /// Bulk fill of raw 64-bit words — one engine step per element, in element
 /// order, so a filled block consumes exactly out.size() draws and matches a
-/// loop of gen() calls bit for bit.  The batched selection kernels
-/// (core/draw_many.hpp) fill bits a block at a time and push the
+/// loop of gen() calls bit for bit.  The batched selection kernel's stream
+/// draws (core/deterministic.hpp) fill bits a block at a time and push the
 /// bits -> (0,1] conversion through the SIMD engine (simd/dispatch.hpp).
 template <Engine64 G>
 void fill_bits(G&& gen, std::span<std::uint64_t> out) noexcept {

@@ -19,7 +19,7 @@
 // so equality holds by construction; the two floating-point kernels use only
 // exactly-rounded IEEE ops in the same per-element order (sub, mul, max —
 // never a fused multiply-add), so lane width cannot change a single bit of
-// output.  Consumers (core/draw_many.hpp, core/deterministic.hpp,
+// output.  Consumers (core/deterministic.hpp, core/wheel_set.cpp,
 // rng/uniform.hpp) therefore produce the same indices and consume the same
 // engine state on every dispatch target.
 #pragma once

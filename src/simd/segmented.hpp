@@ -8,10 +8,10 @@
 // them across segment boundaries is bit-identical to calling the kernels
 // once per segment — a wheel straddling a lane, a tile boundary, or both
 // cannot change a single output bit.  The per-segment maxima computed here
-// generalize the fixed-size block skip of DrawManyKernel /
-// DeterministicDrawKernel to ragged boundaries: a segment whose maximum
-// bound fails the caller's gate provably loses and its logs are skipped
-// wholesale (core/bid_filter.hpp owns the proof).
+// generalize the fixed-size block skip of DeterministicDrawKernel to ragged
+// boundaries: a segment whose maximum bound fails the caller's gate provably
+// loses and its logs are skipped wholesale (core/bid_filter.hpp owns the
+// proof).
 #pragma once
 
 #include <cstddef>

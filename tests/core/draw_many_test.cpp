@@ -10,7 +10,9 @@
 
 #include "../testing.hpp"
 #include "core/batch.hpp"
+#include "core/deterministic.hpp"
 #include "core/logarithmic_bidding.hpp"
+#include "rng/philox.hpp"
 #include "rng/xoshiro256.hpp"
 
 namespace lrb::core {
@@ -52,6 +54,20 @@ TEST(DrawMany, MultiBlockVectorsMatchSerialToo) {
     EXPECT_EQ(batch[t], select_bidding(fitness, serial_gen)) << "draw " << t;
   }
   EXPECT_EQ(batched_gen, serial_gen);
+
+  // The same through rng::PhiloxRng's bulk fill_bits path, started at an odd
+  // position: k is odd, so the draws alternate between blocks that drain the
+  // buffered high word and blocks that end on a lone low word.
+  rng::PhiloxRng batched_philox(7, 3);
+  (void)batched_philox();
+  rng::PhiloxRng serial_philox = batched_philox;
+  ASSERT_EQ(batched_philox.position() % 2, 1u);
+  const auto philox_batch = draw_many(fitness, 64, batched_philox);
+  for (std::size_t t = 0; t < philox_batch.size(); ++t) {
+    EXPECT_EQ(philox_batch[t], select_bidding(fitness, serial_philox))
+        << "philox draw " << t;
+  }
+  EXPECT_EQ(batched_philox, serial_philox);
 }
 
 TEST(DrawMany, SubnormalFitnessStillMatchesSerial) {
@@ -80,15 +96,15 @@ TEST(DrawMany, ChiSquareMatchesExactProbabilities) {
 }
 
 TEST(DrawMany, KernelReuseStreamsContinuously) {
-  // Two draw_into() calls on one kernel consume the same stream as one
-  // bigger call: scratch reuse must not perturb the draw sequence.
+  // Two runs of draws on one kernel consume the same stream as one bigger
+  // draw_many call: scratch reuse must not perturb the draw sequence.
   const std::vector<double> fitness = blocky_fitness(700);
   rng::Xoshiro256StarStar split_gen(11);
   rng::Xoshiro256StarStar whole_gen(11);
-  DrawManyKernel split_kernel(fitness);
+  const DeterministicDrawKernel split_kernel(fitness);
   std::vector<std::size_t> split;
-  split_kernel.draw_into(40, split_gen, split);
-  split_kernel.draw_into(60, split_gen, split);
+  for (int t = 0; t < 40; ++t) split.push_back(split_kernel.draw_one(split_gen));
+  for (int t = 0; t < 60; ++t) split.push_back(split_kernel.draw_one(split_gen));
   const auto whole = draw_many(fitness, 100, whole_gen);
   EXPECT_EQ(split, whole);
   EXPECT_EQ(split_gen, whole_gen);
@@ -96,7 +112,7 @@ TEST(DrawMany, KernelReuseStreamsContinuously) {
 
 TEST(DrawMany, ActiveSetSkipsZeros) {
   const std::vector<double> fitness = {0, 0, 3, 0, 0, 1, 0, 2, 0};
-  DrawManyKernel kernel(fitness);
+  const DeterministicDrawKernel kernel(fitness);
   EXPECT_EQ(kernel.size(), fitness.size());
   EXPECT_EQ(kernel.active_count(), 3u);
   rng::Xoshiro256StarStar gen(3);
@@ -107,7 +123,7 @@ TEST(DrawMany, ActiveSetSkipsZeros) {
 
 TEST(DrawMany, DrawScoredReportsTheWinningBid) {
   const std::vector<double> fitness = {1.0, 4.0, 2.0};
-  DrawManyKernel kernel(fitness);
+  const DeterministicDrawKernel kernel(fitness);
   rng::Xoshiro256StarStar gen(9);
   for (int t = 0; t < 200; ++t) {
     const auto scored = kernel.draw_scored(gen);

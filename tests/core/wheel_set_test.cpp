@@ -194,6 +194,24 @@ TEST(WheelSet, ErrorSurface) {
   const WheelSet::DrawRequest out_of_range{7, 1};
   EXPECT_THROW((void)set.draw_batch({&out_of_range, 1}),
                InvalidArgumentError);
+  // Draw counts that sum past size_t (here to 2^64, which would wrap to 0)
+  // are rejected before any cursor moves: the next draw is the one a fresh
+  // arena makes.
+  const std::vector<WheelSet::DrawRequest> overflow = {{0, std::size_t{1} << 63},
+                                                       {0, std::size_t{1} << 63}};
+  try {
+    (void)set.draw_batch(overflow);
+    FAIL() << "expected InvalidArgumentError";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("draws"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(set.cursor(0), 0u);
+  {
+    WheelSet fresh(1);
+    (void)fresh.add_wheel(std::vector<double>{1.0, 0.0, 2.0});
+    EXPECT_EQ(set.draw_one(0), fresh.draw_one(0));
+  }
   EXPECT_THROW((void)set.add_wheel(std::vector<double>{}),
                InvalidFitnessError);
   EXPECT_THROW((void)set.add_wheel(std::vector<double>{1.0, -2.0}),

@@ -38,7 +38,7 @@ std::vector<double> sparse_fitness(std::size_t n) {
 
 /// Independent reference: the un-batched, un-filtered algorithm — per rank,
 /// B back-to-back serial sub-races from engine seeds.child(r); per draw, an
-/// argmax combine over ranks in rank order.  No DrawManyKernel, no batched
+/// argmax combine over ranks in rank order.  No kernel, no batched
 /// collective, so the production path is checked against straight-line code.
 std::vector<std::size_t> reference_batch(const ShardedFitness& shards,
                                          std::size_t batch,

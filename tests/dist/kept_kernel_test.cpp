@@ -1,4 +1,4 @@
-// The deterministic kernels ShardedFitness keeps per shard.
+// The kernels ShardedFitness keeps per shard.
 //
 // Every point update patches the owning shard's kernel instead of the batch
 // re-packing the shard, so the contract under test is that the patched
@@ -8,8 +8,9 @@
 // against distributed_bidding_deterministic_batch and the serial
 // DeterministicBidder over a plain mirror vector, and every winner must be
 // bit-identical at P in {1, 2, 3, 4, 7, 16}.  Also pinned: each kept kernel
-// equals a fresh build over its shard, a steady-state batch builds no kernel
-// (obs counter), and a process that embodies one rank packs only that rank.
+// equals a fresh build over its shard (keyed and engine draws), a
+// steady-state batch of either contract builds no kernel (obs counter), and
+// a process that embodies one rank packs only that rank.
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -55,7 +56,8 @@ std::vector<double> initial_fitness() {
 }
 
 /// Every kept kernel agrees with a fresh build over its current shard: same
-/// active count, and the same scored winner (bid and index) for a few draws.
+/// active count, and the same scored winner (bid and index) for a few keyed
+/// draws and a few engine draws from twin engines, which must end equal.
 void expect_kernels_match_fresh_builds(const ShardedFitness& shards) {
   for (std::size_t r = 0; r < shards.ranks(); ++r) {
     const DeterministicDrawKernel& kept = shards.shard_kernel(r);
@@ -70,6 +72,15 @@ void expect_kernels_match_fresh_builds(const ShardedFitness& shards) {
       ASSERT_EQ(a.index, b.index) << "rank " << r << " draw " << t;
       ASSERT_EQ(a.bid, b.bid) << "rank " << r << " draw " << t;
     }
+    lrb::rng::Xoshiro256StarStar kept_gen(kSeed + r);
+    lrb::rng::Xoshiro256StarStar fresh_gen(kSeed + r);
+    for (int t = 0; t < 4; ++t) {
+      const auto a = kept.draw_scored(kept_gen);
+      const auto b = fresh.draw_scored(fresh_gen);
+      ASSERT_EQ(a.index, b.index) << "rank " << r << " engine draw " << t;
+      ASSERT_EQ(a.bid, b.bid) << "rank " << r << " engine draw " << t;
+    }
+    ASSERT_EQ(kept_gen, fresh_gen) << "rank " << r;
   }
 }
 
@@ -309,7 +320,7 @@ TEST(KeptKernels, OnlyTheEmbodiedRankIsPacked) {
 TEST(KeptKernels, SteadyStateBatchesBuildNoKernel) {
   const std::vector<double> fitness = initial_fitness();
   lrb::obs::Counter& builds =
-      lrb::obs::Registry::global().counter("lrb_core_det_kernel_builds_total");
+      lrb::obs::Registry::global().counter("lrb_core_kernel_builds_total");
   ShardedFitness shards(fitness, 4);
   DeterministicDistributedBidder cursor(kSeed);
   lrb::rng::Xoshiro256StarStar gen(9);
@@ -322,6 +333,7 @@ TEST(KeptKernels, SteadyStateBatchesBuildNoKernel) {
       shards.update(index == 1 ? 2 : index, static_cast<double>(u));
     }
     (void)cursor.select_batch(shards, 8);
+    (void)lrb::dist::distributed_bidding_batch(shards, 8, kSeed + batch);
   }
   EXPECT_EQ(builds.value() - before, 0u);
 }

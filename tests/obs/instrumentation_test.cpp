@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "core/batch.hpp"
+#include "core/deterministic.hpp"
 #include "core/draw_many.hpp"
 #include "dist/selection.hpp"
 #include "dist/sharding.hpp"
@@ -27,7 +28,7 @@ TEST(Instrumentation, DrawManyBillsDrawsAndFilterOutcomesExactly) {
   for (std::size_t i = 0; i < fitness.size(); ++i) {
     fitness[i] = (i % 4 == 0) ? 0.0 : 1.0 + static_cast<double>(i % 9);
   }
-  lrb::core::DrawManyKernel kernel(fitness);
+  const lrb::core::DeterministicDrawKernel kernel(fitness);
   const std::size_t k = kernel.active_count();
   constexpr std::size_t kDraws = 64;
 
@@ -35,8 +36,7 @@ TEST(Instrumentation, DrawManyBillsDrawsAndFilterOutcomesExactly) {
   const std::uint64_t evals0 = counter("lrb_core_log_evals_total");
   const std::uint64_t skips0 = counter("lrb_core_filter_skips_total");
   lrb::rng::Xoshiro256StarStar gen(11);
-  std::vector<std::size_t> out;
-  kernel.draw_into(kDraws, gen, out);
+  for (std::size_t t = 0; t < kDraws; ++t) (void)kernel.draw_one(gen);
 
   EXPECT_EQ(counter("lrb_core_draws_total") - draws0, kDraws);
   // Every active item is either log-evaluated or filter-skipped, per draw:
@@ -57,7 +57,7 @@ TEST(Instrumentation, KernelBuildRecordsActiveSetDensity) {
   const std::uint64_t builds0 = counter("lrb_core_kernel_builds_total");
   const std::uint64_t items0 = counter("lrb_core_kernel_items_total");
   const std::uint64_t active0 = counter("lrb_core_kernel_active_items_total");
-  const lrb::core::DrawManyKernel kernel(fitness);
+  const lrb::core::DeterministicDrawKernel kernel(fitness);
   EXPECT_EQ(counter("lrb_core_kernel_builds_total") - builds0, 1u);
   EXPECT_EQ(counter("lrb_core_kernel_items_total") - items0, 200u);
   EXPECT_EQ(counter("lrb_core_kernel_active_items_total") - active0, 20u);
@@ -102,7 +102,7 @@ TEST(Instrumentation, InvalidFitnessThrowsAndCounterAgree) {
   int thrown = 0;
   for (int i = 0; i < 5; ++i) {
     try {
-      (void)lrb::core::DrawManyKernel(negative);
+      (void)lrb::core::DeterministicDrawKernel(negative);
     } catch (const lrb::InvalidFitnessError&) {
       ++thrown;
     }

@@ -123,9 +123,10 @@ TEST(BoundPassProperty, GateSlackAbsorbsBoundRounding) {
 }
 
 TEST(BoundPassProperty, StreamKernelNeverDiscardsTrueWinnerAtTheEdge) {
-  // End to end on DrawManyKernel: at every edge shape and lane-straddling
-  // active count, on every target, the filtered batch must equal a loop of
-  // unfiltered select_bidding() calls — indices and engine state.
+  // End to end on the kernel's stream draws (core::draw_many): at every edge
+  // shape and lane-straddling active count, on every target, the filtered
+  // batch must equal a loop of unfiltered select_bidding() calls — indices
+  // and engine state.
   for (Target t : testing::available_targets()) {
     testing::ScopedTarget scope(t);
     ASSERT_TRUE(scope.forced());
