@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <string>
 #include <utility>
 
@@ -208,7 +209,14 @@ void WheelSet::run_batch(std::span<const DrawRequest> requests,
                          std::vector<std::size_t>& out) {
   LRB_TRACE_SPAN_ARG("wheelset_draw_batch", total_draws);
   LRB_OBS_SCOPED_NS("lrb_wheelset_batch_ns");
-  out.reserve(out.size() + total_draws);
+  try {
+    out.reserve(out.size() + total_draws);
+  } catch (const std::bad_alloc&) {
+    // A total that fits max_size() but not memory: typed, before any
+    // cursor moves.
+    throw InvalidArgumentError("draw_batch: cannot allocate the output for " +
+                               std::to_string(total_draws) + " draws");
+  }
   const simd::Ops& ops = simd::ops();
   if (bits_.size() != kTile) {
     bits_.resize(kTile);

@@ -134,7 +134,10 @@ class WheelSet {
   /// wheels.  Returns the winners (LOCAL item indices) in request order and
   /// advances each wheel's cursor by its draw count.  Bit-identical to
   /// calling batch_select_deterministic(wheel_values(w), draws, seed(w))
-  /// per wheel (with cursors starting at 0) on every dispatch target.
+  /// per wheel (with cursors starting at 0) on every dispatch target.  A
+  /// draw total past the output's room, or one whose output cannot be
+  /// allocated, throws InvalidArgumentError naming the draws before any
+  /// cursor moves.
   [[nodiscard]] std::vector<std::size_t> draw_batch(
       std::span<const DrawRequest> requests);
   void draw_batch_into(std::span<const DrawRequest> requests,

@@ -38,10 +38,8 @@ std::vector<std::uint64_t> decode_winners(ByteReader& r) {
   return winners;
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> encode_record(const Record& record) {
-  ByteWriter w;
+/// Appends one record's payload (kind byte + body) to `w`.
+void encode_into(ByteWriter& w, const Record& record) {
   std::visit(
       [&w](const auto& rec) {
         using T = std::decay_t<decltype(rec)>;
@@ -72,6 +70,18 @@ std::vector<std::uint8_t> encode_record(const Record& record) {
         }
       },
       record);
+}
+
+/// Overwrites the 4 bytes at `p` with `v`, little-endian.
+void store_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_record(const Record& record) {
+  ByteWriter w;
+  encode_into(w, record);
   return w.take();
 }
 
@@ -131,12 +141,26 @@ Record decode_record(std::span<const std::uint8_t> payload) {
 DrawLogWriter::DrawLogWriter(const std::string& path, DrawLogConfig config)
     : file_(File::open_append(path)), config_(config) {}
 
-DrawLogWriter::~DrawLogWriter() {
-  // Best-effort flush of kBatch/kNone leftovers; errors are unreportable
-  // here, and callers needing the durability receipt call sync() instead.
-  if (file_.is_open() && unsynced_records_ > 0) {
+DrawLogWriter& DrawLogWriter::operator=(DrawLogWriter&& other) noexcept {
+  if (this != &other) {
+    sync_best_effort();
+    file_ = std::move(other.file_);
+    config_ = other.config_;
+    pending_ = std::move(other.pending_);
+    unsynced_records_ = std::exchange(other.unsynced_records_, 0);
+    failure_ = std::move(other.failure_);
+  }
+  return *this;
+}
+
+DrawLogWriter::~DrawLogWriter() { sync_best_effort(); }
+
+void DrawLogWriter::sync_best_effort() noexcept {
+  // Errors are unreportable here, and callers needing the durability
+  // receipt call sync() instead.  A poisoned writer writes nothing more.
+  if (file_.is_open() && failure_.empty() && unsynced_records_ > 0) {
     try {
-      file_.sync();
+      sync();
     } catch (const PersistError&) {  // NOLINT(bugprone-empty-catch)
     }
   }
@@ -144,34 +168,75 @@ DrawLogWriter::~DrawLogWriter() {
 
 void DrawLogWriter::append(const Record& record) {
   LRB_OBS_SCOPED_NS("lrb_persist_append_ns");
-  const std::vector<std::uint8_t> payload = encode_record(record);
-  LRB_ASSERT(payload.size() <= kMaxRecordBytes,
+  if (!failure_.empty()) throw_poisoned();
+  // Encode the frame in place at the end of the pending buffer: a
+  // placeholder header, the payload straight after it, then the header
+  // patched.  A warm buffer makes no allocation.
+  const std::size_t start = pending_.size();
+  ByteWriter w(std::move(pending_));
+  try {
+    w.u32(0);  // payload length and CRC32C, patched below
+    w.u32(0);
+    encode_into(w, record);
+  } catch (...) {
+    // Only growing the buffer can throw: hand the earlier frames back whole.
+    pending_ = w.take();
+    pending_.resize(start);
+    throw;
+  }
+  pending_ = w.take();
+  const std::size_t len = pending_.size() - start - 8;
+  LRB_ASSERT(len <= kMaxRecordBytes,
              "draw-log record exceeds kMaxRecordBytes");
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u32(crc32c(payload.data(), payload.size()));
-  frame.bytes(payload);
-  // ONE write(2) per record: O_APPEND makes the frame land contiguously at
-  // the end of file, so a crash can tear at most the final frame.
-  file_.write_all(frame.data());
+  std::uint8_t* frame = pending_.data() + start;
+  store_u32(frame, static_cast<std::uint32_t>(len));
+  store_u32(frame + 4, crc32c(frame + 8, len));
   LRB_OBS_COUNTER_ADD("lrb_persist_log_records_total", 1);
-  LRB_OBS_COUNTER_ADD("lrb_persist_log_bytes_total", frame.size());
+  LRB_OBS_COUNTER_ADD("lrb_persist_log_bytes_total", len + 8);
   ++unsynced_records_;
-  switch (config_.policy) {
-    case FlushPolicy::kEveryRecord:
-      sync();
-      break;
-    case FlushPolicy::kBatch:
-      if (unsynced_records_ >= config_.batch_records) sync();
-      break;
-    case FlushPolicy::kNone:
-      break;
+  const bool sync_due =
+      config_.policy == FlushPolicy::kEveryRecord ||
+      (config_.policy == FlushPolicy::kBatch &&
+       unsynced_records_ >= config_.batch_records);
+  if (sync_due) {
+    sync();
+  } else if (pending_.size() >= kPendingFlushBytes) {
+    write_pending();
   }
 }
 
 void DrawLogWriter::sync() {
-  file_.sync();
+  if (!failure_.empty()) throw_poisoned();
+  write_pending();
+  try {
+    file_.sync();
+  } catch (const PersistIoError& e) {
+    failure_ = e.what();
+    throw;
+  }
   unsynced_records_ = 0;
+}
+
+void DrawLogWriter::write_pending() {
+  if (pending_.empty()) return;
+  // ONE write(2) for every pending frame: O_APPEND lands them contiguously
+  // at the end of file, so a crash can tear at most the last frame it
+  // reaches, and the reader keeps every whole frame before it.
+  try {
+    file_.write_all(pending_);
+  } catch (const PersistIoError& e) {
+    // A failed write may have landed a partial frame; any later frame
+    // would sit behind it, where the reader never looks.
+    failure_ = e.what();
+    throw;
+  }
+  pending_.clear();
+}
+
+void DrawLogWriter::throw_poisoned() const {
+  throw PersistIoError("draw log \"" + path() +
+                       "\" takes no more records after an earlier failure: " +
+                       failure_);
 }
 
 DrawLogReadResult read_draw_log(const std::string& path) {

@@ -9,12 +9,20 @@
 //   u8   record kind           -+
 //   ...  kind-specific body     +-- the payload the CRC covers
 //
-// Writer durability: the file is opened O_APPEND and every record is
-// write(2)n immediately; FlushPolicy picks when fsync runs — kEveryRecord
-// (each record durable before append returns), kBatch (every
-// `batch_records` appends, amortizing the fsync), kNone (the OS decides;
-// sync()/close still flush).  bench_json's `persist` section prices the
-// three policies.
+// Writer durability: the file is opened O_APPEND.  append() encodes each
+// frame into one reused pending buffer, and the buffered frames reach the
+// file in ONE write(2) at the point where FlushPolicy fsyncs — kEveryRecord
+// (each record written and durable before append returns), kBatch (every
+// `batch_records` appends, amortizing both calls), kNone (at sync() and
+// destruction).  Under any policy, pending frames that pass
+// kPendingFlushBytes are written early, without an fsync, so memory stays
+// bounded however rarely the caller syncs.  A frame is acknowledged only
+// by the fsync that covers it: a process killed under kBatch/kNone loses
+// its unsynced frames, which WheelJournal::resume() treats like any other
+// unsynced tail.  After a failed write or fsync the writer is poisoned —
+// every later append()/sync() throws PersistIoError naming the first
+// failure — so no frame ever lands behind a torn one.
+// bench_json's `persist` section prices the three policies.
 //
 // Reader crash tolerance — the load-bearing guarantee: a process killed
 // mid-write leaves a torn final frame (short header, short payload, or a
@@ -30,6 +38,7 @@
 // point and bit flip under ASan/UBSan.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -40,11 +49,13 @@
 
 namespace lrb::persist {
 
-/// When the writer calls fsync(2).
+/// When the writer calls fsync(2) — and so when its buffered frames reach
+/// the file in one write(2).
 enum class FlushPolicy : std::uint8_t {
-  kEveryRecord,  ///< durable before append() returns (safest, slowest)
+  kEveryRecord,  ///< written and durable before append() returns
   kBatch,        ///< every DrawLogConfig::batch_records appends
-  kNone,         ///< never inside append(); sync()/close() still flush
+  kNone,         ///< never inside append(); sync()/destruction write and
+                 ///< fsync
 };
 
 struct DrawLogConfig {
@@ -55,6 +66,11 @@ struct DrawLogConfig {
 /// Hard cap on one record's payload: a bit-flipped length field must never
 /// drive allocation (the reader also cross-checks against the bytes left).
 inline constexpr std::uint32_t kMaxRecordBytes = 1u << 24;
+
+/// A writer whose pending frames reach this many bytes writes them before
+/// its policy's fsync point (without fsyncing), so a caller that never
+/// syncs still holds a bounded buffer.
+inline constexpr std::size_t kPendingFlushBytes = 64 * 1024;
 
 // --- record types ----------------------------------------------------------
 // Kinds are part of the on-disk format: never reuse or renumber.
@@ -102,25 +118,30 @@ using Record = std::variant<WheelUpdateRecord, WheelDrawRecord,
                             DistUpdateRecord, DistDrawRecord, ReshardRecord,
                             CheckpointRecord>;
 
-/// Appends CRC-framed records to an O_APPEND log file.
+/// Appends CRC-framed records to an O_APPEND log file, coalescing them into
+/// one write(2) per flush point.
 class DrawLogWriter {
  public:
   /// Opens (creating if absent) `path` for appending.
   DrawLogWriter(const std::string& path, DrawLogConfig config = {});
 
   DrawLogWriter(DrawLogWriter&&) noexcept = default;
-  DrawLogWriter& operator=(DrawLogWriter&&) noexcept = default;
+  /// Best-effort flushes this writer's leftovers, as the destructor does,
+  /// before taking over `other`'s file and pending frames.
+  DrawLogWriter& operator=(DrawLogWriter&& other) noexcept;
 
-  /// Destructor best-effort-flushes (kBatch/kNone leftovers); call sync()
-  /// for a checked flush.
+  /// Destructor best-effort writes and fsyncs kBatch/kNone leftovers; call
+  /// sync() for a checked flush.
   ~DrawLogWriter();
 
-  /// Encodes, frames, writes, and (per policy) fsyncs one record.
-  /// Instrumented: lrb_persist_log_records_total, lrb_persist_log_bytes_total,
+  /// Encodes and frames one record into the pending buffer, then (per
+  /// policy) writes and fsyncs.  Throws PersistIoError if this or any
+  /// earlier write or fsync failed.  Instrumented:
+  /// lrb_persist_log_records_total, lrb_persist_log_bytes_total,
   /// lrb_persist_append_ns.
   void append(const Record& record);
 
-  /// fsync(2) now, regardless of policy.
+  /// Writes every pending frame and fsyncs now, regardless of policy.
   void sync();
 
   [[nodiscard]] const std::string& path() const noexcept {
@@ -128,9 +149,17 @@ class DrawLogWriter {
   }
 
  private:
+  /// One write(2) of every pending frame; poisons the writer on failure.
+  void write_pending();
+  /// sync() with errors swallowed, skipped when closed, poisoned or synced.
+  void sync_best_effort() noexcept;
+  [[noreturn]] void throw_poisoned() const;
+
   File file_;
   DrawLogConfig config_;
-  std::size_t unsynced_records_ = 0;
+  std::vector<std::uint8_t> pending_;  ///< framed records not yet written
+  std::size_t unsynced_records_ = 0;   ///< appended since the last fsync
+  std::string failure_;  ///< the first failed write/fsync; empty if none
 };
 
 /// What reading a (possibly torn) log produced.

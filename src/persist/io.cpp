@@ -73,6 +73,7 @@ void File::write_all(std::span<const std::uint8_t> data) {
       if (errno == EINTR) continue;
       io_fail("write", path_);
     }
+    LRB_OBS_COUNTER_ADD("lrb_persist_writes_total", 1);
     p += n;
     left -= static_cast<std::size_t>(n);
   }

@@ -49,7 +49,8 @@ class File {
   [[nodiscard]] bool is_open() const noexcept { return fd_ >= 0; }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
-  /// Writes all of `data` (looping over short writes).
+  /// Writes all of `data` (looping over short writes).  Each write(2) call
+  /// is counted (lrb_persist_writes_total).
   void write_all(std::span<const std::uint8_t> data);
 
   /// fsync(2) — blocks until the kernel reports the data durable.  Counted

@@ -86,13 +86,17 @@ void WheelJournal::update(std::size_t wheel, std::size_t item, double value) {
 std::vector<std::uint64_t> WheelJournal::draw(std::size_t wheel,
                                               std::size_t draws) {
   const core::WheelSet::DrawRequest req{wheel, draws};
-  const std::vector<std::size_t> got = ws_.draw_batch({&req, 1});
-  WheelDrawRecord record;
-  record.wheel = wheel;
-  record.winners.assign(got.begin(), got.end());
+  drawn_.clear();
+  ws_.draw_batch_into({&req, 1}, drawn_);
+  // Built in place inside the Record, so the winners vector — the one
+  // allocation of a warm call — is also the one returned.
+  Record record{std::in_place_type<WheelDrawRecord>};
+  auto& rec = std::get<WheelDrawRecord>(record);
+  rec.wheel = wheel;
+  rec.winners.assign(drawn_.begin(), drawn_.end());
   log_.append(record);
   ++records_;
-  return std::move(record.winners);
+  return std::move(rec.winners);
 }
 
 void WheelJournal::sync() { log_.sync(); }

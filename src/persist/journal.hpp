@@ -8,8 +8,11 @@
 //     "0 log records applied".  Creation is a destructive begin (it
 //     replaces whatever journal the directory held).
 //   * Every update and draw applies to the in-memory arena, then appends
-//     its record (winners included) to the log; the flush policy decides
-//     when the record is durable.
+//     its record (winners included) to the log.  The log writer coalesces
+//     frames and writes them at its flush policy's fsync point, so a record
+//     is on disk, and acknowledged, only once an fsync covers it; a process
+//     kill loses the unsynced records, which resume() handles like a torn
+//     tail (the stream continues from the last record that reached disk).
 //   * checkpoint() fsyncs the log, then atomically commits a fresh
 //     snapshot recording "R records applied" — the log is never rewritten,
 //     so there is no window where snapshot and log disagree: a crash
@@ -91,6 +94,7 @@ class WheelJournal {
   core::WheelSet ws_;
   DrawLogWriter log_;
   std::uint64_t records_ = 0;  ///< total records in the log
+  std::vector<std::size_t> drawn_;  ///< draw()'s reused WheelSet output
 };
 
 /// What WheelJournal::resume() recovered, beyond the journal itself.

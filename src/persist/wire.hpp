@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -32,15 +33,19 @@ namespace lrb::persist {
 /// Appends fixed-width fields to a growing byte buffer.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+
+  /// Adopts `buf` and appends after its existing bytes — a caller that
+  /// keeps one buffer across records moves it in and take()s it back, so a
+  /// warm buffer encodes without reallocating.
+  explicit ByteWriter(std::vector<std::uint8_t> buf) noexcept
+      : buf_(std::move(buf)) {}
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { put_le<4>(v); }
 
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u64(std::uint64_t v) { put_le<8>(v); }
 
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
@@ -57,6 +62,14 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
  private:
+  /// The low N bytes of `v`, least significant first, in one insert.
+  template <int N>
+  void put_le(std::uint64_t v) {
+    std::uint8_t b[N];
+    for (int i = 0; i < N; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    buf_.insert(buf_.end(), b, b + N);
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 

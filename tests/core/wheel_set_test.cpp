@@ -212,6 +212,21 @@ TEST(WheelSet, ErrorSurface) {
     (void)fresh.add_wheel(std::vector<double>{1.0, 0.0, 2.0});
     EXPECT_EQ(set.draw_one(0), fresh.draw_one(0));
   }
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  // A total that fits max_size() but not memory (2^59 draws: a 2^62-byte
+  // output, whose allocation fails at once) is typed the same way, before
+  // any cursor moves.  Sanitizer allocators abort on such a request instead
+  // of throwing, so those builds skip it.
+  const WheelSet::DrawRequest unallocatable{0, std::size_t{1} << 59};
+  try {
+    (void)set.draw_batch({&unallocatable, 1});
+    FAIL() << "expected InvalidArgumentError";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("draws"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(set.cursor(0), 1u);
+#endif
   EXPECT_THROW((void)set.add_wheel(std::vector<double>{}),
                InvalidFitnessError);
   EXPECT_THROW((void)set.add_wheel(std::vector<double>{1.0, -2.0}),

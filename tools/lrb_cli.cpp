@@ -34,7 +34,9 @@
 //       (snapshot + write-ahead draw log) in D, then runs a deterministic
 //       step script — draw one winner per step round-robin across K wheels,
 //       periodic scripted updates — printing "t wheel winner" per step.
-//       --flush=every|batch|off picks the log fsync policy,
+//       --flush=every|batch|off picks the log fsync policy (buffered
+//       frames are written at each fsync, so a kill loses unsynced steps;
+//       resume redraws them identically),
 //       --checkpoint-every=C commits a fresh snapshot every C steps,
 //       --throttle-us=U sleeps between steps (widens the crash window the
 //       CI crash job SIGKILLs into).
