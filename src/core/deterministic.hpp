@@ -8,8 +8,11 @@
 // a pure function, so serial and parallel evaluation — with any lane count —
 // return the same winner.
 //
-// Cost: one Philox4x32-10 evaluation per positive-fitness item per draw
-// (~2x the throughput cost of the xoshiro path; measured in A3/A4 benches).
+// Cost: one Philox4x32-10 block per positive-fitness item per draw, which
+// the SIMD engine computes one block per 64-bit lane, 8 (AVX-512) or 4
+// (AVX2) per vector.  Those blocks are still 83-84% of a keyed draw on
+// perfbench's replay_1m, and a keyed draw costs 0.8-1.6x a draw_many stream
+// draw (bench_json's philox_cost_vs_draw_many; 1.2-1.3x at n=1e6 dense).
 //
 // DeterministicDrawKernel, below, is the batched single-wheel kernel of both
 // contracts: one pack and one block loop serve the keyed draws and the

@@ -1,12 +1,12 @@
-// The AVX2 target: 8 Philox4x32-10 blocks per iteration in 32-bit SoA form,
-// 4-wide bits -> (0,1] conversion and bound pass.  This translation unit is
+// The AVX2 target: Philox4x32-10 with one block per 64-bit lane, 4-wide
+// bits -> (0,1] conversion and bound pass.  This translation unit is
 // compiled with -mavx2 (see src/CMakeLists.txt) and selected only after
 // cpuid confirms the host executes AVX2; when the compiler cannot target
 // AVX2 at all, the whole file collapses to a nullptr table.
 //
 // Bit-equality with the scalar target is structural, not hoped-for:
-//   * the Philox kernels are pure 32-bit integer arithmetic — the vector
-//     mulhilo/xor/add lanes compute exactly the scalar recurrence;
+//   * the Philox kernels are pure 32-bit integer arithmetic in the layout
+//     below, which computes exactly rng::detail::philox_round per lane;
 //   * the u64 -> double conversion uses the classic two-halves trick whose
 //     adds are exact for values <= 2^53 (ours are), matching the scalar
 //     static_cast; the 2^-53 scale is a power of two (always exact);
@@ -14,6 +14,19 @@
 //     order-independent, with no FMA contraction.
 // Loop tails delegate to the exported scalar kernels rather than touching
 // inline library code, so no AVX2-compiled COMDAT can leak into portable TUs.
+//
+// Philox layout.  A Group holds four blocks as four vectors c0..c3: lane j
+// of c<w> carries word w of block j in its LOW dword.  The high dwords hold
+// whatever the last op left there (a product's high half, a key word's high
+// half), and no such bit reaches an output, because
+//   * vpmuludq reads only the low dwords of its operands;
+//   * xor and the 32-bit key add act dword by dword, so a high dword never
+//     mixes into a low one;
+//   * vpshufd, which does swap the dwords of a lane, is applied only where
+//     both dwords are defined: to a full 64-bit product (bringing its high
+//     half down) or to a 64-bit input word (bringing its upper word down);
+//   * an output u64 is a blend of one vector's low dwords with another's
+//     low dwords moved up, so every stored dword is a defined Philox word.
 #include "simd/kernels.hpp"
 
 #if defined(__AVX2__)
@@ -27,143 +40,136 @@
 namespace lrb::simd::detail {
 namespace {
 
-// 8-lane widening 32x32 multiply: hi/lo of a[i] * m for all eight 32-bit
-// lanes (m is the Philox multiplier broadcast into every even dword, which
-// is where _mm256_mul_epu32 reads it).
-inline void mul_hilo_8x32(__m256i a, __m256i m, __m256i& hi, __m256i& lo) {
-  const __m256i even = _mm256_mul_epu32(a, m);
-  const __m256i odd = _mm256_mul_epu32(_mm256_srli_epi64(a, 32), m);
-  lo = _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0xAA);
-  hi = _mm256_blend_epi32(_mm256_srli_epi64(even, 32), odd, 0xAA);
+using V = __m256i;
+constexpr std::size_t kLanes = 4;   // Philox blocks per vector
+// Vectors in flight per main-loop step.  Two, not four: four groups' state
+// alone fills the 16 ymm registers, and the spills made four slower.
+constexpr std::size_t kGroups = 2;
+
+inline V bcast(std::uint64_t x) {
+  return _mm256_set1_epi64x(static_cast<long long>(x));
+}
+inline V load(const std::uint64_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+inline void store(std::uint64_t* p, V x) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), x);
+}
+inline V xor3(V a, V b, V c) {
+  return _mm256_xor_si256(_mm256_xor_si256(a, b), c);
 }
 
-// Ten Philox rounds over 8 blocks held as lanes c0..c3 (SoA).  Mirrors
-// rng::detail::philox_round exactly: new block = {p1.hi ^ c1 ^ k0, p1.lo,
-// p0.hi ^ c3 ^ k1, p0.lo} with p0 = mulhilo(M0, c0), p1 = mulhilo(M1, c2).
-inline void philox10_8x_vkey(__m256i& c0, __m256i& c1, __m256i& c2,
-                             __m256i& c3, __m256i k0, __m256i k1) {
-  const __m256i m0 = _mm256_set1_epi64x(rng::detail::kPhiloxM0);
-  const __m256i m1 = _mm256_set1_epi64x(rng::detail::kPhiloxM1);
-  const __m256i w0 = _mm256_set1_epi32(static_cast<int>(rng::detail::kPhiloxW0));
-  const __m256i w1 = _mm256_set1_epi32(static_cast<int>(rng::detail::kPhiloxW1));
-  for (int round = 0; round < 10; ++round) {
-    __m256i p0hi, p0lo, p1hi, p1lo;
-    mul_hilo_8x32(c0, m0, p0hi, p0lo);
-    mul_hilo_8x32(c2, m1, p1hi, p1lo);
-    const __m256i n0 = _mm256_xor_si256(_mm256_xor_si256(p1hi, c1), k0);
-    const __m256i n2 = _mm256_xor_si256(_mm256_xor_si256(p0hi, c3), k1);
-    c0 = n0;
-    c1 = p1lo;
-    c2 = n2;
-    c3 = p0lo;
-    k0 = _mm256_add_epi32(k0, w0);
-    k1 = _mm256_add_epi32(k1, w1);
+// Swaps the two dwords of every 64-bit lane.
+inline V swap32(V x) { return _mm256_shuffle_epi32(x, 0xB1); }
+
+// The engine's u64: low dwords of `lo` | low dwords of `hi` << 32.
+inline V pack(V lo, V hi) { return _mm256_blend_epi32(lo, swap32(hi), 0xAA); }
+
+struct Group {
+  V c0, c1, c2, c3;
+};
+
+// The one Philox round body of this target (rng::detail::philox_round):
+// {p1.hi ^ c1 ^ k0, p1.lo, p0.hi ^ c3 ^ k1, p0.lo} with p0 = M0 * c0 and
+// p1 = M1 * c2.  The products stay whole; their high halves move down with
+// vpshufd.  A caller that keeps only words 0-1 leaves the last round's
+// c2/c3 dead, and the compiler drops the M0 product with them.
+inline void philox_round(Group& b, V k0, V k1) {
+  const V p0 = _mm256_mul_epu32(b.c0, bcast(rng::detail::kPhiloxM0));
+  const V p1 = _mm256_mul_epu32(b.c2, bcast(rng::detail::kPhiloxM1));
+  b.c0 = xor3(swap32(p1), b.c1, k0);
+  b.c1 = p1;
+  b.c2 = xor3(swap32(p0), b.c3, k1);
+  b.c3 = p0;
+}
+
+// Broadcast round keys: round r uses key + r * W (mod 2^32) in the low
+// dwords; the carry into the high dwords is harmless.
+struct RoundKeys {
+  V k0[10], k1[10];
+  explicit RoundKeys(std::uint64_t seed) {
+    for (std::uint64_t r = 0; r < 10; ++r) {
+      k0[r] = bcast(seed + r * rng::detail::kPhiloxW0);
+      k1[r] = bcast((seed >> 32) + r * rng::detail::kPhiloxW1);
+    }
   }
-}
+};
 
-// Broadcast-key wrapper — the fixed-seed kernels' original entry point.
-inline void philox10_8x(__m256i& c0, __m256i& c1, __m256i& c2, __m256i& c3,
-                        std::uint32_t key0, std::uint32_t key1) {
-  philox10_8x_vkey(c0, c1, c2, c3, _mm256_set1_epi32(static_cast<int>(key0)),
-                   _mm256_set1_epi32(static_cast<int>(key1)));
-}
-
-// Splits eight consecutive u64s (two 4-wide loads) into SoA low/high dwords.
-inline void split_u64_8(const std::uint64_t* p, __m256i& lo32, __m256i& hi32) {
-  const __m256i didx = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
-  const __m256i a = _mm256_permutevar8x32_epi32(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)), didx);
-  const __m256i b = _mm256_permutevar8x32_epi32(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4)), didx);
-  lo32 = _mm256_permute2x128_si256(a, b, 0x20);
-  hi32 = _mm256_permute2x128_si256(a, b, 0x31);
-}
-
-// Packs SoA dword lanes (lo32[i], hi32[i]) back into eight u64s
-// lo32[i] | hi32[i] << 32, in block order, as two 4-wide vectors.
-inline void join_u64_8(__m256i lo32, __m256i hi32, __m256i& w03, __m256i& w47) {
-  const __m256i lo_i = _mm256_unpacklo_epi32(lo32, hi32);  // blocks 0,1 | 4,5
-  const __m256i hi_i = _mm256_unpackhi_epi32(lo32, hi32);  // blocks 2,3 | 6,7
-  w03 = _mm256_permute2x128_si256(lo_i, hi_i, 0x20);
-  w47 = _mm256_permute2x128_si256(lo_i, hi_i, 0x31);
+// Runs step.operator()<G>(i) over [0, n): kGroups vectors per step while
+// they fit, then one.  Returns where the scalar tail starts.
+template <std::size_t kG = kGroups, class Step>
+inline std::size_t sweep(std::size_t n, Step step) {
+  std::size_t i = 0;
+  for (; i + kG * kLanes <= n; i += kG * kLanes) {
+    step.template operator()<kG>(i);
+  }
+  for (; i + kLanes <= n; i += kLanes) step.template operator()<1>(i);
+  return i;
 }
 
 void philox_words_counter_range_avx2(std::uint64_t seed, std::uint64_t stream,
                                      std::uint64_t counter0, std::uint64_t* out,
                                      std::size_t nblocks) {
-  const std::size_t main = nblocks & ~std::size_t{7};
-  const __m256i step_lo = _mm256_setr_epi64x(0, 1, 2, 3);
-  const __m256i step_hi = _mm256_setr_epi64x(4, 5, 6, 7);
-  const std::uint32_t key0 = static_cast<std::uint32_t>(seed);
-  const std::uint32_t key1 = static_cast<std::uint32_t>(seed >> 32);
-  const __m256i s_lo = _mm256_set1_epi32(static_cast<int>(
-      static_cast<std::uint32_t>(stream)));
-  const __m256i s_hi = _mm256_set1_epi32(static_cast<int>(
-      static_cast<std::uint32_t>(stream >> 32)));
-  for (std::size_t i = 0; i < main; i += 8) {
-    // Counters counter0 + i .. + i + 7 with full 64-bit carry, then split
-    // into the Philox dword lanes.
-    const __m256i base = _mm256_set1_epi64x(
-        static_cast<long long>(counter0 + i));
-    alignas(32) std::uint64_t ctr[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(ctr),
-                       _mm256_add_epi64(base, step_lo));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(ctr + 4),
-                       _mm256_add_epi64(base, step_hi));
-    __m256i c0, c1;
-    split_u64_8(ctr, c0, c1);
-    __m256i c2 = s_lo;
-    __m256i c3 = s_hi;
-    philox10_8x(c0, c1, c2, c3, key0, key1);
-    // Engine word order: lo64 then hi64 per block.
-    __m256i lo03, lo47, hi03, hi47;
-    join_u64_8(c0, c1, lo03, lo47);
-    join_u64_8(c2, c3, hi03, hi47);
-    // Interleave (lo, hi) pairs per block: [lo0,hi0,lo1,hi1,...].
-    const __m256i ul0 = _mm256_unpacklo_epi64(lo03, hi03);  // lo0,hi0 | lo2,hi2
-    const __m256i uh0 = _mm256_unpackhi_epi64(lo03, hi03);  // lo1,hi1 | lo3,hi3
-    const __m256i ul1 = _mm256_unpacklo_epi64(lo47, hi47);
-    const __m256i uh1 = _mm256_unpackhi_epi64(lo47, hi47);
-    std::uint64_t* o = out + 2 * i;
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(o),
-                        _mm256_permute2x128_si256(ul0, uh0, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(o + 4),
-                        _mm256_permute2x128_si256(ul0, uh0, 0x31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(o + 8),
-                        _mm256_permute2x128_si256(ul1, uh1, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(o + 12),
-                        _mm256_permute2x128_si256(ul1, uh1, 0x31));
-  }
-  if (main < nblocks) {
-    philox_words_counter_range_scalar(seed, stream, counter0 + main,
-                                      out + 2 * main, nblocks - main);
+  const RoundKeys rk(seed);
+  const V s_lo = bcast(stream);
+  const V s_hi = bcast(stream >> 32);
+  const V lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  const std::size_t done = sweep(nblocks, [&]<std::size_t G>(std::size_t i) {
+    Group b[G];
+    for (std::size_t g = 0; g < G; ++g) {
+      // Full 64-bit counters, wrapping mod 2^64 like the engine's.
+      const V ctr = _mm256_add_epi64(bcast(counter0 + i + g * kLanes), lane);
+      b[g] = {ctr, swap32(ctr), s_lo, s_hi};
+    }
+    for (int r = 0; r < 10; ++r) {
+      for (Group& x : b) philox_round(x, rk.k0[r], rk.k1[r]);
+    }
+    for (std::size_t g = 0; g < G; ++g) {
+      const V lo = pack(b[g].c0, b[g].c1);
+      const V hi = pack(b[g].c2, b[g].c3);
+      // Interleave (lo, hi) per block into the engine's word order.
+      const V even = _mm256_unpacklo_epi64(lo, hi);  // blocks 0 | 2
+      const V odd = _mm256_unpackhi_epi64(lo, hi);   // blocks 1 | 3
+      std::uint64_t* o = out + 2 * (i + g * kLanes);
+      store(o, _mm256_permute2x128_si256(even, odd, 0x20));
+      store(o + kLanes, _mm256_permute2x128_si256(even, odd, 0x31));
+    }
+  });
+  if (done < nblocks) {
+    philox_words_counter_range_scalar(seed, stream, counter0 + done,
+                                      out + 2 * done, nblocks - done);
   }
 }
 
 void philox_bits_streams_avx2(std::uint64_t seed, std::uint64_t counter,
                               const std::uint64_t* streams, std::uint64_t* out,
                               std::size_t n) {
-  const std::size_t main = n & ~std::size_t{7};
-  const std::uint32_t key0 = static_cast<std::uint32_t>(seed);
-  const std::uint32_t key1 = static_cast<std::uint32_t>(seed >> 32);
-  const __m256i t_lo = _mm256_set1_epi32(static_cast<int>(
-      static_cast<std::uint32_t>(counter)));
-  const __m256i t_hi = _mm256_set1_epi32(static_cast<int>(
-      static_cast<std::uint32_t>(counter >> 32)));
-  for (std::size_t i = 0; i < main; i += 8) {
-    __m256i c0 = t_lo;
-    __m256i c1 = t_hi;
-    __m256i c2, c3;
-    split_u64_8(streams + i, c2, c3);
-    philox10_8x(c0, c1, c2, c3, key0, key1);
-    __m256i w03, w47;
-    join_u64_8(c0, c1, w03, w47);  // low u64 only: the deterministic bits
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), w03);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 4), w47);
-  }
-  if (main < n) {
-    philox_bits_streams_scalar(seed, counter, streams + main, out + main,
-                               n - main);
+  const RoundKeys rk(seed);
+  // Round 1 with the counter broadcast: M0 * counter.lo is one scalar
+  // product, and counter.hi ^ key0 and p0.hi ^ key1 are constants.
+  const std::uint64_t p0 = std::uint64_t{rng::detail::kPhiloxM0} *
+                           static_cast<std::uint32_t>(counter);
+  const V c1_k0 = bcast((counter >> 32) ^ seed);
+  const V p0hi_k1 = bcast((p0 >> 32) ^ (seed >> 32));
+  const V m1 = bcast(rng::detail::kPhiloxM1);
+  const std::size_t done = sweep(n, [&]<std::size_t G>(std::size_t i) {
+    Group b[G];
+    for (std::size_t g = 0; g < G; ++g) {
+      const V s = load(streams + i + g * kLanes);
+      const V p1 = _mm256_mul_epu32(s, m1);
+      b[g] = {_mm256_xor_si256(swap32(p1), c1_k0), p1,
+              _mm256_xor_si256(swap32(s), p0hi_k1), bcast(p0)};
+    }
+    for (int r = 1; r < 10; ++r) {
+      for (Group& x : b) philox_round(x, rk.k0[r], rk.k1[r]);
+    }
+    for (std::size_t g = 0; g < G; ++g) {
+      store(out + i + g * kLanes, pack(b[g].c0, b[g].c1));
+    }
+  });
+  if (done < n) {
+    philox_bits_streams_scalar(seed, counter, streams + done, out + done,
+                               n - done);
   }
 }
 
@@ -171,23 +177,35 @@ void philox_bits_keyed_avx2(const std::uint64_t* seeds,
                             const std::uint64_t* counters,
                             const std::uint64_t* streams, std::uint64_t* out,
                             std::size_t n) {
-  const std::size_t main = n & ~std::size_t{7};
-  for (std::size_t i = 0; i < main; i += 8) {
+  const V w0 = bcast(rng::detail::kPhiloxW0);
+  const V w1 = bcast(rng::detail::kPhiloxW1);
+  const std::size_t done = sweep(n, [&]<std::size_t G>(std::size_t i) {
     // All three 64-bit key words vary per lane: counters feed c0/c1,
     // streams feed c2/c3, and seeds become per-lane round keys.
-    __m256i c0, c1, c2, c3, k0, k1;
-    split_u64_8(counters + i, c0, c1);
-    split_u64_8(streams + i, c2, c3);
-    split_u64_8(seeds + i, k0, k1);
-    philox10_8x_vkey(c0, c1, c2, c3, k0, k1);
-    __m256i w03, w47;
-    join_u64_8(c0, c1, w03, w47);  // low u64 only: the deterministic bits
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), w03);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 4), w47);
-  }
-  if (main < n) {
-    philox_bits_keyed_scalar(seeds + main, counters + main, streams + main,
-                             out + main, n - main);
+    Group b[G];
+    V k0[G], k1[G];
+    for (std::size_t g = 0; g < G; ++g) {
+      const std::size_t j = i + g * kLanes;
+      const V ctr = load(counters + j);
+      const V st = load(streams + j);
+      b[g] = {ctr, swap32(ctr), st, swap32(st)};
+      k0[g] = load(seeds + j);
+      k1[g] = swap32(k0[g]);
+    }
+    for (int r = 0; r < 10; ++r) {
+      for (std::size_t g = 0; g < G; ++g) {
+        philox_round(b[g], k0[g], k1[g]);
+        k0[g] = _mm256_add_epi32(k0[g], w0);
+        k1[g] = _mm256_add_epi32(k1[g], w1);
+      }
+    }
+    for (std::size_t g = 0; g < G; ++g) {
+      store(out + i + g * kLanes, pack(b[g].c0, b[g].c1));
+    }
+  });
+  if (done < n) {
+    philox_bits_keyed_scalar(seeds + done, counters + done, streams + done,
+                             out + done, n - done);
   }
 }
 

@@ -27,6 +27,12 @@ const std::vector<std::size_t> kLengths = {0,  1,  2,  3,  4,  5,  7,  8,
                                            9,  15, 16, 17, 31, 32, 33, 63,
                                            64, 65, 100, 255, 256, 257};
 
+/// Lengths around the Philox kernels' vector steps (8 and 32 blocks on
+/// AVX-512, 4 and 8 on AVX2): each sweep step, single-vector step and
+/// scalar tail meets its neighbours somewhere in this list.
+const std::vector<std::size_t> kStepLengths = {24, 39, 40,  41,  47, 95,
+                                               96, 97, 127, 128, 129};
+
 /// Bitwise equality for doubles (0.0 == -0.0 and NaN != NaN are exactly the
 /// traps value comparison would hide).
 bool same_bits(double a, double b) {
@@ -134,6 +140,83 @@ TEST(SimdKernels, PhiloxKeyedMatchesPerElementReference) {
       ops_for(t)->philox_bits_keyed(seeds.data(), counters.data(),
                                     streams.data(), out.data(), n);
       EXPECT_EQ(out, reference) << ops_for(t)->name << " n=" << n;
+    }
+  }
+}
+
+TEST(SimdKernels, PhiloxCounterRangeAtStepWidths) {
+  const std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
+  const std::uint64_t stream = (std::uint64_t{1} << 32) + 5;
+  for (std::uint64_t counter0 : {std::uint64_t{3}, ~std::uint64_t{0} - 40}) {
+    for (std::size_t n : kStepLengths) {
+      std::vector<std::uint64_t> reference(2 * n);
+      ops_for(Target::kScalar)
+          ->philox_words_counter_range(seed, stream, counter0,
+                                       reference.data(), n);
+      reference.push_back(0xABu);
+      for (Target t : testing::available_targets()) {
+        std::vector<std::uint64_t> out(2 * n + 1, 0xABu);
+        ops_for(t)->philox_words_counter_range(seed, stream, counter0,
+                                               out.data(), n);
+        EXPECT_EQ(out, reference)
+            << ops_for(t)->name << " n=" << n << " counter0=" << counter0;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, PhiloxStreamsFullWidthKeysWithSentinel) {
+  // Seeds and counters whose two dwords differ, so a key or counter word
+  // read from the wrong half, or a half dropped, changes the output; the
+  // sentinel past n catches a vector step that stores too far.
+  rng::SplitMix64 mix(31);
+  for (const std::vector<std::size_t>* lengths : {&kLengths, &kStepLengths}) {
+    for (std::size_t n : *lengths) {
+      std::vector<std::uint64_t> streams(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        streams[i] = (i % 2 == 0) ? (std::uint64_t{1} << 32) + i : mix();
+      }
+      for (std::uint64_t seed : {0x853c49e6748fea9bULL, ~0ULL - 17}) {
+        for (std::uint64_t counter :
+             {(std::uint64_t{1} << 32) + n, ~std::uint64_t{0} - n}) {
+          std::vector<std::uint64_t> reference(n + 1, 0xEEu);
+          for (std::size_t i = 0; i < n; ++i) {
+            reference[i] = rng::philox_u64_at(seed, counter, streams[i]);
+          }
+          for (Target t : testing::available_targets()) {
+            std::vector<std::uint64_t> out(n + 1, 0xEEu);
+            ops_for(t)->philox_bits_streams(seed, counter, streams.data(),
+                                            out.data(), n);
+            EXPECT_EQ(out, reference)
+                << ops_for(t)->name << " n=" << n << " seed=" << seed
+                << " counter=" << counter;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, PhiloxKeyedAtStepWidthsWithSentinel) {
+  rng::SplitMix64 mix(77);
+  for (const std::vector<std::size_t>* lengths : {&kLengths, &kStepLengths}) {
+    for (std::size_t n : *lengths) {
+      std::vector<std::uint64_t> seeds(n), counters(n), streams(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        seeds[i] = (i % 2 == 0) ? ~std::uint64_t{0} - i : mix();
+        counters[i] = (i % 2 == 1) ? (std::uint64_t{1} << 32) + i : mix();
+        streams[i] = mix();
+      }
+      std::vector<std::uint64_t> reference(n + 1, 0xEEu);
+      for (std::size_t i = 0; i < n; ++i) {
+        reference[i] = rng::philox_u64_at(seeds[i], counters[i], streams[i]);
+      }
+      for (Target t : testing::available_targets()) {
+        std::vector<std::uint64_t> out(n + 1, 0xEEu);
+        ops_for(t)->philox_bits_keyed(seeds.data(), counters.data(),
+                                      streams.data(), out.data(), n);
+        EXPECT_EQ(out, reference) << ops_for(t)->name << " n=" << n;
+      }
     }
   }
 }
